@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
+from scipy.signal import lfilter
 from scipy.stats import chi2 as _chi2
 from scipy.stats import gamma as _gamma
 
@@ -37,7 +38,7 @@ from .residuals import (
     correlogram,
     cross_correlation,
     durbin_levinson,
-    garch_standardized_sq_acf,
+    garch_standardized_sq_acfs,
 )
 
 ALL_STATISTICS = (
@@ -381,7 +382,7 @@ def li_mak(eps, sigma2, m: int, b: int, a: int, weighted: bool = False) -> TestR
     dist = _chi2_dist(m, correction)
     name = "Lbw" if weighted else "Lb"
     try:
-        rho = np.array([garch_standardized_sq_acf(eps, sigma2, k) for k in range(1, m + 1)])
+        rho = garch_standardized_sq_acfs(eps, sigma2, m)
     except DegenerateVariance:
         return _degenerate(name, m, correction, dist)
     if weighted:
@@ -421,13 +422,9 @@ class QmMatrix:
 
 def _inverse_poly_coeffs(ar_style: np.ndarray, nterms: int) -> np.ndarray:
     """Coefficients c of 1/(1 - a1 B - ... - ap B^p) up to B^(nterms-1)."""
-    p = ar_style.size
-    c = np.zeros(nterms)
-    c[0] = 1.0
-    for i in range(1, nterms):
-        hi = min(i, p)
-        c[i] = float(ar_style[:hi] @ c[i - hi : i][::-1])
-    return c
+    impulse = np.zeros(nterms)
+    impulse[0] = 1.0
+    return lfilter([1.0], np.concatenate(([1.0], -ar_style)), impulse)
 
 
 def _check_roots(coeffs: np.ndarray, error, label: str) -> None:

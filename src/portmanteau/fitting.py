@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.signal import lfilter, lfiltic
-from scipy.special import logsumexp
+from scipy.signal import lfilter
 
 from .errors import InvalidSpec, SingularDesign
 from .residuals import ResidualSeries, make_residual_series
@@ -240,28 +239,50 @@ def fit_arma_css(series, p: int, q: int, max_iter: int = 2000) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _garch_variances(eps2: np.ndarray, omega: float, alpha: np.ndarray, beta: np.ndarray, v0: float) -> np.ndarray:
-    """Conditional variances with pre-sample e^2 and s^2 pinned at v0."""
-    n = eps2.size
+def _garch_variances(padded: np.ndarray, omega: float, alpha: np.ndarray, beta: np.ndarray, v0: float) -> np.ndarray:
+    """Conditional variances with pre-sample e^2 and s^2 pinned at v0.
+
+    ``padded`` is e^2 preceded by b = alpha.size copies of v0.
+    """
     b, a = alpha.size, beta.size
+    n = padded.size - b
     c = np.full(n, omega)
-    if b:
-        padded = np.concatenate((np.full(b, v0), eps2))
-        for i in range(1, b + 1):
-            c += alpha[i - 1] * padded[b - i : b - i + n]
+    for i in range(1, b + 1):
+        c += alpha[i - 1] * padded[b - i : b - i + n]
     if a == 0:
         return c
-    a_poly = np.concatenate(([1.0], -beta))
-    zi = lfiltic([1.0], a_poly, y=np.full(a, v0))
-    sig2, _ = lfilter([1.0], a_poly, c, zi=zi)
+    # Initial state of the recursion for a flat pre-sample s^2 = v0, in the
+    # closed form of scipy's lfiltic([1], [1, -beta], v0): z_k = sum_{j>=k} beta_j v0.
+    terms = beta * v0
+    zi = np.array([terms[k:].sum() for k in range(a)])
+    sig2, _ = lfilter([1.0], np.concatenate(([1.0], -beta)), c, zi=zi)
     return sig2
+
+
+def _log_normaliser(logits: np.ndarray) -> np.float64:
+    """log(1 + sum(exp(logits))), bit for bit what scipy 1.17 logsumexp((0, *logits)) gives.
+
+    Inlined because scipy's array-API dispatch costs ten times the rest of a
+    likelihood evaluation. The steps are scipy's own for real 1-D input, in
+    its order: the maximum is split out of the sum and its ties counted. The
+    terms are summed in array order, 0 first; any other order changes the
+    fitted parameters' bits once b + a >= 2.
+    """
+    v = np.concatenate(([0.0], logits))
+    top = v.max()
+    at_top = v == top
+    count = float(np.count_nonzero(at_top))
+    v[at_top] = -np.inf
+    s = np.exp(v - top).sum()
+    if s != 0:
+        s = s / count
+    return np.log1p(s) + np.log(count) + top
 
 
 def _unpack_garch(x: np.ndarray, b: int, a: int) -> tuple[float, np.ndarray, np.ndarray]:
     omega = float(np.exp(x[0]))
     logits = x[1:]
-    norm = logsumexp(np.concatenate(([0.0], logits)))
-    weights = np.exp(logits - norm)
+    weights = np.exp(logits - _log_normaliser(logits))
     return omega, weights[:b], weights[b:]
 
 
@@ -295,9 +316,11 @@ def fit_garch_qmle(series, b: int, a: int, max_iter: int = 4000) -> FitResult:
     if v0 <= 0.0:
         raise SingularDesign("series has zero variance")
 
+    padded = np.concatenate((np.full(b, v0), eps2))
+
     def negloglik(x: np.ndarray) -> float:
         omega, alpha, beta = _unpack_garch(x, b, a)
-        sig2 = _garch_variances(eps2, omega, alpha, beta, v0)
+        sig2 = _garch_variances(padded, omega, alpha, beta, v0)
         val = 0.5 * float(np.sum(np.log(sig2) + eps2 / sig2))
         return val if np.isfinite(val) else 1e300
 
@@ -330,7 +353,7 @@ def fit_garch_qmle(series, b: int, a: int, max_iter: int = 4000) -> FitResult:
         flags.append("non_convergence")
     if alpha.sum() + beta.sum() > 1.0 - 1e-6:
         flags.append("boundary_estimate")
-    sig2 = _garch_variances(eps2, omega, alpha, beta, v0)
+    sig2 = _garch_variances(padded, omega, alpha, beta, v0)
     sd = np.sqrt(sig2)
     loglik = -0.5 * float(np.sum(_LOG2PI + np.log(sig2) + eps2 / sig2))
     return FitResult(

@@ -8,6 +8,7 @@ stationary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,30 +195,32 @@ def _simulate_arma(model: Arma, eps: np.ndarray) -> np.ndarray:
     return model.mu + lfilter(b, a, eps)
 
 
-def _simulate_garch(model: Garch, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    total = xi.size
+def _simulate_garch(model: Garch, xi: np.ndarray) -> np.ndarray:
     b, a = model.b, model.a
     alpha = np.asarray(model.alpha, dtype=float)
     beta = np.asarray(model.beta, dtype=float)
     v0 = model.unconditional_variance
+    # Lag histories, newest first, shifted in place. The dot products stay
+    # ndarray ones: BLAS may fuse the multiply-add, and a plain-float sum
+    # would round differently and change seeded paths.
     eps2 = np.full(b, v0)
     sig2_hist = np.full(a, v0)
-    eps = np.empty(total)
-    sig2 = np.empty(total)
-    for t in range(total):
+    eps = np.empty(xi.size)
+    for t, x in enumerate(xi.tolist()):
         s2 = model.omega
         if b:
             s2 += float(alpha @ eps2)
         if a:
             s2 += float(beta @ sig2_hist)
-        sig2[t] = s2
-        e = np.sqrt(s2) * xi[t]
+        e = math.sqrt(s2) * x
         eps[t] = e
         if b:
-            eps2 = np.concatenate(([e * e], eps2[:-1]))
+            eps2[1:] = eps2[:-1]
+            eps2[0] = e * e
         if a:
-            sig2_hist = np.concatenate(([s2], sig2_hist[:-1]))
-    return eps, sig2
+            sig2_hist[1:] = sig2_hist[:-1]
+            sig2_hist[0] = s2
+    return eps
 
 
 def _simulate_tar(model: Tar, eps: np.ndarray) -> np.ndarray:
@@ -287,9 +290,9 @@ def simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
     if isinstance(model, Arma):
         z = _simulate_arma(model, spec.innovation.draw(rng, total))
     elif isinstance(model, Garch):
-        z, _ = _simulate_garch(model, spec.innovation.draw(rng, total))
+        z = _simulate_garch(model, spec.innovation.draw(rng, total))
     elif isinstance(model, ArmaGarch):
-        eps, _ = _simulate_garch(model.garch, spec.innovation.draw(rng, total))
+        eps = _simulate_garch(model.garch, spec.innovation.draw(rng, total))
         z = _simulate_arma(model.arma, eps)
     elif isinstance(model, Tar):
         z = _simulate_tar(model, spec.innovation.draw(rng, total))

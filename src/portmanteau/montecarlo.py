@@ -65,6 +65,27 @@ class FitterSpec:
         if self.kind not in ("none", "true", "ar", "arma", "ar_aic", "garch", "ar_garch"):
             raise InvalidSpec(f"unknown fitter kind {self.kind!r}")
 
+    def resolve(self, generator: ModelSpec | None) -> FitterSpec:
+        """The concrete fitter: "true" becomes the generator's own family and orders."""
+        if self.kind != "true":
+            return self
+        if generator is None:
+            raise InvalidSpec("true-model fitting needs the generator spec")
+        resolved = _true_fitter_for(generator)
+        return FitterSpec(
+            kind=resolved.kind, p=resolved.p, q=resolved.q, p_max=resolved.p_max,
+            b=resolved.b, a=resolved.a, intercept=self.intercept,
+        )
+
+    def lost_rows(self, generator: ModelSpec | None) -> int:
+        """Rows the fit drops from the front of the series (the most it can drop, for ar_aic)."""
+        fitter = self.resolve(generator)
+        if fitter.kind in ("ar", "arma", "ar_garch"):
+            return fitter.p
+        if fitter.kind == "ar_aic":
+            return fitter.p_max
+        return 0
+
 
 @dataclass(frozen=True)
 class Experiment:
@@ -86,9 +107,10 @@ class Experiment:
             raise InvalidSpec("need at least one replication")
         if not self.n_list or not self.m_list or not self.levels or not self.statistics:
             raise InvalidSpec("n_list, m_list, levels and statistics must be non-empty")
-        n_min = min(self.n_list)
-        if max(self.m_list) >= n_min / 2:
-            raise InvalidSpec("every m must be below min(n)/2")
+        # the statistics see the fit's residuals, which can be shorter than n
+        n_resid = min(self.n_list) - self.fitter.lost_rows(self.generator)
+        if max(self.m_list) >= n_resid / 2:
+            raise InvalidSpec(f"every m must be below half the shortest residual series ({n_resid} values)")
         for name in self.statistics:
             if name not in ALL_STATISTICS:
                 raise InvalidSpec(f"unknown statistic {name!r}")
@@ -187,14 +209,7 @@ def _true_fitter_for(spec: ModelSpec) -> FitterSpec:
 
 def fit_series(z: np.ndarray, fitter: FitterSpec, generator: ModelSpec | None = None) -> FitResult:
     """Apply a fitter to one simulated series."""
-    if fitter.kind == "true":
-        if generator is None:
-            raise InvalidSpec("true-model fitting needs the generator spec")
-        resolved = _true_fitter_for(generator)
-        fitter = FitterSpec(
-            kind=resolved.kind, p=resolved.p, q=resolved.q, p_max=resolved.p_max,
-            b=resolved.b, a=resolved.a, intercept=fitter.intercept,
-        )
+    fitter = fitter.resolve(generator)
     if fitter.kind == "none":
         resid = make_residual_series(z)
         return FitResult(

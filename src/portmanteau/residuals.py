@@ -208,12 +208,8 @@ def residual_pacf(series: ResidualSeries, m: int, which: str = "residuals", stan
     return durbin_levinson(acf.values)
 
 
-def garch_standardized_sq_acf(eps, sigma2, k: int) -> float:
-    """Lag-k autocorrelation of e_t^2 / s_t^2 for fitted conditional variances s_t^2.
-
-    The ratio sequence is centered at its own mean, and the statistic is the
-    plain ratio of lagged to zero-lag sums (no per-lag divisor correction).
-    """
+def _centered_sq_ratio(eps, sigma2, k: int) -> tuple[np.ndarray, float]:
+    """Centered ratios d_t = r_t - mean(r), r_t = e_t^2 / s_t^2, and sum d_t^2, checked for lag k."""
     e = np.asarray(eps, dtype=float)
     s2 = np.asarray(sigma2, dtype=float)
     if e.shape != s2.shape:
@@ -228,5 +224,23 @@ def garch_standardized_sq_acf(eps, sigma2, k: int) -> float:
     den = float(d @ d)
     if den < VARIANCE_FLOOR * n:
         raise DegenerateVariance("standardized squared residuals are constant")
-    num = float(d[k:] @ d[: n - k])
-    return num / den
+    return d, den
+
+
+def garch_standardized_sq_acf(eps, sigma2, k: int) -> float:
+    """Lag-k autocorrelation of e_t^2 / s_t^2 for fitted conditional variances s_t^2.
+
+    The ratio sequence is centered at its own mean, and the statistic is the
+    plain ratio of lagged to zero-lag sums (no per-lag divisor correction).
+    """
+    d, den = _centered_sq_ratio(eps, sigma2, k)
+    return float(d[k:] @ d[: d.size - k]) / den
+
+
+def garch_standardized_sq_acfs(eps, sigma2, m: int) -> np.ndarray:
+    """``garch_standardized_sq_acf`` at lags 1..m, validating and centering once."""
+    d, den = _centered_sq_ratio(eps, sigma2, 1)
+    n = d.size
+    if m >= n:
+        raise LagOutOfRange(f"m = {m} must be smaller than n = {n}")
+    return np.array([float(d[k:] @ d[: n - k]) / den for k in range(1, m + 1)])

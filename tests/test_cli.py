@@ -244,6 +244,23 @@ class TestMcCommand:
         code, _, _ = _run(["mc", "--config", cfg, "--out", str(tmp_path / "x")], capsys)
         assert code == 2
 
+    def test_m_beyond_residual_length_exit_2(self, tmp_path, capsys):
+        config = {
+            "schema": 1,
+            "generator": {"model": {"kind": "arma", "phi": [0.1], "theta": [], "mu": 0.0}, "burn_in": 100},
+            "fitter": {"kind": "ar", "p": 2},
+            "n": [40],
+            "m": [19],
+            "replications": 5,
+            "statistics": ["Cm"],
+        }
+        cfg = _write(tmp_path / "exp.json", json.dumps(config))
+        code, _, err = _run(["mc", "--config", cfg, "--out", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert "residual" in err
+        assert "running" not in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestFitCommand:
     def test_fit_reports_estimates(self, tmp_path, capsys):

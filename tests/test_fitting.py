@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from portmanteau import (
     Arma,
@@ -16,7 +19,7 @@ from portmanteau import (
     simulate,
 )
 from portmanteau.errors import InvalidSpec, SingularDesign
-from portmanteau.fitting import _reflect_ma_roots
+from portmanteau.fitting import _log_normaliser, _reflect_ma_roots, _unpack_garch
 
 
 class TestFitAr:
@@ -181,6 +184,60 @@ class TestGarchQmle:
     def test_orders_required(self):
         with pytest.raises(InvalidSpec):
             fit_garch_qmle(np.random.default_rng(14).standard_normal(100), 0, 0)
+
+
+_SUBNORMALS = (5e-324, -5e-324, 1e-310, -2.2e-308)
+_LOGIT = st.one_of(
+    st.floats(min_value=-700.0, max_value=700.0),
+    st.sampled_from((0.0, -0.0, 700.0, -700.0) + _SUBNORMALS),
+)
+
+
+@st.composite
+def _logit_vectors(draw):
+    """Length 1-4 vectors drawn from a pool no longer than the vector, so ties are common."""
+    size = draw(st.integers(1, 4))
+    pool = draw(st.lists(_LOGIT, min_size=1, max_size=size))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+
+
+class TestGarchLogNormaliser:
+    """The inlined normaliser of the alpha/beta logits must be scipy's, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_logit_vectors())
+    def test_equals_scipy_logsumexp(self, logits):
+        assert _log_normaliser(logits) == logsumexp(np.concatenate(([0.0], logits)))
+
+    @pytest.mark.parametrize(
+        "logits",
+        [
+            [0.0], [0.0, 0.0, 0.0], [-0.0, 0.0], [3.0, 3.0], [700.0, 700.0, -700.0], [5e-324, 0.0], [-700.0] * 4,
+            # summing these terms in any order but scipy's changes the result
+            [0.34, 0.424, 0.371, 0.383],
+        ],
+    )
+    def test_ties_extremes_and_sum_order(self, logits):
+        logits = np.array(logits)
+        assert _log_normaliser(logits) == logsumexp(np.concatenate(([0.0], logits)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_logit_vectors(), st.integers(0, 4))
+    def test_unpacked_weights_are_a_subprobability(self, logits, b):
+        b = min(b, logits.size)
+        _, alpha, beta = _unpack_garch(np.concatenate(([0.0], logits)), b, logits.size - b)
+        weights = np.concatenate((alpha, beta))
+        assert weights.size == logits.size
+        assert np.all(weights >= 0.0)
+        # The slack 1 / (1 + sum exp(logits)) keeps the sum below 1. It is far
+        # above rounding while every logit is <= 20; past ~37 it rounds away,
+        # and each weight then carries the rounding of the normaliser, about
+        # one spacing of the largest logit.
+        top = logits.max()
+        if top <= 20.0:
+            assert weights.sum() < 1.0
+        else:
+            assert weights.sum() - 1.0 <= logits.size * (2.0 * np.spacing(top) + 4.0 * np.finfo(float).eps)
 
 
 class TestArGarchComposite:

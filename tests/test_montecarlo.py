@@ -121,6 +121,23 @@ class TestValidation:
         with pytest.raises(InvalidSpec):
             _small_experiment(m_list=(30,)).validate()
 
+    def test_m_versus_residual_length(self):
+        # AR(2) residuals of an n=40 series have 38 values, so m=19 cannot run
+        with pytest.raises(InvalidSpec):
+            _small_experiment(fitter=FitterSpec(kind="ar", p=2), n_list=(40,), m_list=(19,)).validate()
+        with pytest.raises(InvalidSpec):
+            _small_experiment(fitter=FitterSpec(kind="ar_aic", p_max=4), n_list=(40,), m_list=(18,)).validate()
+        with pytest.raises(InvalidSpec):
+            _small_experiment(
+                generator=ModelSpec(model=Arma(phi=(0.3, 0.2)), burn_in=100),
+                fitter=FitterSpec(kind="true"),
+                n_list=(40,),
+                m_list=(19,),
+            ).validate()
+        _small_experiment(fitter=FitterSpec(kind="ar", p=2), n_list=(40,), m_list=(18,)).validate()
+        _small_experiment(fitter=FitterSpec(kind="ar_aic", p_max=4), n_list=(40,), m_list=(17,)).validate()
+        _small_experiment(fitter=FitterSpec(kind="none"), n_list=(40,), m_list=(19,)).validate()
+
     def test_unknown_statistic(self):
         with pytest.raises(InvalidSpec):
             _small_experiment(statistics=("Cm", "Zz")).validate()

@@ -22,6 +22,7 @@ from portmanteau.errors import (
     SingularToeplitz,
     TooShort,
 )
+from portmanteau.residuals import garch_standardized_sq_acfs
 
 
 class TestMakeResidualSeries:
@@ -233,3 +234,12 @@ class TestGarchStandardizedAcf:
     def test_lag_bounds(self):
         with pytest.raises(LagOutOfRange):
             garch_standardized_sq_acf(np.ones(5), np.ones(5), 5)
+
+    def test_all_lags_match_single_lag_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        e = rng.standard_normal(60)
+        s2 = rng.uniform(0.5, 2.0, 60)
+        rho = garch_standardized_sq_acfs(e, s2, 12)
+        assert rho.tolist() == [garch_standardized_sq_acf(e, s2, k) for k in range(1, 13)]
+        with pytest.raises(LagOutOfRange):
+            garch_standardized_sq_acfs(e, s2, 60)
