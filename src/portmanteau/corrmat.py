@@ -2,19 +2,28 @@
 
 The single-kind matrix of order m is (m+1) x (m+1) with entry (r, c) equal to
 rho_ij(c - r); the block matrix stacks the four kinds as
-[[R11, R12], [R12', R22]] and is 2(m+1)-dimensional.
+[[R11, R12], [R12', R22]] and is 2(m+1)-dimensional. Both builders take a
+residual series or its lag kernel (:class:`~portmanteau.residuals.LagCorrelations`)
+at any largest lag >= m, and read the correlations from the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 
 from .errors import LagTooLarge, NotPositiveDefinite
-from .residuals import ResidualSeries, cross_corr_sequence
+from .residuals import (
+    LagCorrelations,
+    ResidualSeries,
+    cross_corr_sequence,
+    lag_correlations,
+    standardization_factors,
+)
 
 _KINDS = {(1, 1): "R11", (1, 2): "R12", (2, 1): "R21", (2, 2): "R22"}
 
@@ -34,31 +43,46 @@ def _check_order(n: int, m: int) -> None:
         raise LagTooLarge(f"lag order m = {m} must satisfy 1 <= m < n/2 with n = {n}")
 
 
-def _toeplitz_entries(series: ResidualSeries, i: int, j: int, m: int, standardized: bool) -> np.ndarray:
-    pos = cross_corr_sequence(series, i, j, m)  # rho_ij(0..m)
-    neg = cross_corr_sequence(series, j, i, m)  # rho_ij(-k) = rho_ji(k)
+@lru_cache(maxsize=64)
+def _toeplitz_index(m: int) -> np.ndarray:
+    """Index (a, b) -> m + b - a into [neg reversed, pos[1:]], read-only."""
+    index = np.arange(m + 1) - np.arange(m + 1)[:, np.newaxis] + m
+    index.flags.writeable = False
+    return index
+
+
+def _toeplitz(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Entry (a, b) = pos[b - a] above the diagonal, neg[a - b] on and below it."""
+    return np.concatenate((neg[::-1], pos[1:]))[_toeplitz_index(pos.size - 1)]
+
+
+def _toeplitz_entries(corr: LagCorrelations, i: int, j: int, m: int, standardized: bool) -> np.ndarray:
+    pos = corr.rho(i, j, m)  # rho_ij(0..m)
+    neg = corr.rho(j, i, m)  # rho_ij(-k) = rho_ji(k)
     if standardized:
         # The scaling is defined for k != 0 only; lag 0 keeps its raw value so
         # autocorrelation matrices keep a unit diagonal.
-        factors = np.sqrt((series.n + 2.0) / (series.n - np.arange(1, m + 1)))
+        factors = standardization_factors(corr.n, np.arange(1, m + 1))
         pos = pos.copy()
-        neg = neg.copy()
         pos[1:] *= factors
-        neg[1:] *= factors
-    # toeplitz(c, r): entry (a, b) = c[a-b] below the diagonal, r[b-a] above.
-    return toeplitz(neg, pos)
+        if i == j:
+            neg = pos
+        else:
+            neg = neg.copy()
+            neg[1:] *= factors
+    return _toeplitz(neg, pos)
 
 
 def build_toeplitz(
-    series: ResidualSeries, i: int, j: int, m: int, standardized: bool = False
+    series: ResidualSeries | LagCorrelations, i: int, j: int, m: int, standardized: bool = False
 ) -> CrossCorrMatrix:
     """The (m+1) x (m+1) Toeplitz matrix with entry (r, c) = rho_ij(c - r)."""
     _check_order(series.n, m)
-    entries = _toeplitz_entries(series, i, j, m, standardized)
+    entries = _toeplitz_entries(lag_correlations(series, m), i, j, m, standardized)
     return CrossCorrMatrix(m=m, kind=_KINDS[(i, j)], entries=entries, standardized=standardized)
 
 
-def build_block(series: ResidualSeries, m: int) -> CrossCorrMatrix:
+def build_block(series: ResidualSeries | LagCorrelations, m: int) -> CrossCorrMatrix:
     """The 2(m+1)-dimensional block matrix [[R11, R12], [R12', R22]].
 
     Entries are the raw (unstandardized) correlations; the lag-0
@@ -66,10 +90,14 @@ def build_block(series: ResidualSeries, m: int) -> CrossCorrMatrix:
     blocks.
     """
     _check_order(series.n, m)
-    r11 = _toeplitz_entries(series, 1, 1, m, False)
-    r12 = _toeplitz_entries(series, 1, 2, m, False)
-    r22 = _toeplitz_entries(series, 2, 2, m, False)
-    entries = np.block([[r11, r12], [r12.T, r22]])
+    corr = lag_correlations(series, m)
+    d = m + 1
+    r12 = _toeplitz_entries(corr, 1, 2, m, False)
+    entries = np.empty((2 * d, 2 * d))
+    entries[:d, :d] = _toeplitz_entries(corr, 1, 1, m, False)
+    entries[:d, d:] = r12
+    entries[d:, :d] = r12.T
+    entries[d:, d:] = _toeplitz_entries(corr, 2, 2, m, False)
     return CrossCorrMatrix(m=m, kind="block", entries=entries, standardized=False)
 
 

@@ -8,17 +8,22 @@ with mean 2m+5-(p+q). The remaining statistics are the classical references it
 is compared against: quadratic-form tests on one correlation kind (Q families),
 determinant tests on one Toeplitz matrix (D families), partial-autocorrelation
 tests (M families) and the fitted-variance tests (Lb family).
+
+Every statistic that takes a residual series also takes its lag kernel
+(:class:`~portmanteau.residuals.LagCorrelations`) at any largest lag >= m and
+then reads its correlations from it; ``evaluate_statistics`` hands one kernel
+to all of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 from scipy.signal import lfilter
-from scipy.stats import chi2 as _chi2
-from scipy.stats import gamma as _gamma
+from scipy.special import chdtrc, gammaincc
 
 from .corrmat import build_block, build_toeplitz, logdet_pd
 from .errors import (
@@ -34,11 +39,13 @@ from .errors import (
 )
 from .residuals import (
     CorrSequence,
+    LagCorrelations,
     ResidualSeries,
     correlogram,
     cross_correlation,
     durbin_levinson,
     garch_standardized_sq_acfs,
+    lag_correlations,
 )
 
 ALL_STATISTICS = (
@@ -84,11 +91,26 @@ class TestReport:
 
 
 def _pvalue(stat: float, dist: tuple) -> float:
+    """Upper-tail probability of the null, equal to scipy.stats' chi2.sf / gamma.sf.
+
+    Calls the special functions those distributions evaluate (chdtrc and
+    gammaincc) without their argument handling, keeping its edge cases: NaN
+    stays NaN, x <= 0 gives 1 and x = +inf gives 0, where x is the statistic
+    divided by the gamma scale.
+    """
     if dist[0] == "chi2":
-        return float(_chi2.sf(stat, dist[1]))
-    if dist[0] == "gamma":
-        return float(_gamma.sf(stat, dist[1], scale=dist[2]))
-    raise ValueError(f"unknown distribution tag {dist[0]!r}")
+        x = stat
+    elif dist[0] == "gamma":
+        x = stat / dist[2]
+    else:
+        raise ValueError(f"unknown distribution tag {dist[0]!r}")
+    if math.isnan(x):
+        return math.nan
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    return float(chdtrc(dist[1], x) if dist[0] == "chi2" else gammaincc(dist[1], x))
 
 
 def _report(name: str, stat: float, m: int, correction: int, dist: tuple) -> TestReport:
@@ -222,11 +244,13 @@ def box_pierce(acf: CorrSequence, n: int, m: int | None = None, order_correction
     return _report(_QT_NAMES[acf.kind], stat, m, correction, _chi2_dist(m, correction))
 
 
-def weighted_q(series: ResidualSeries, m: int, order_correction: int = 0, which: str = "residual") -> TestReport:
+def weighted_q(
+    series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
+) -> TestReport:
     """Triangularly weighted version of the per-lag-weighted quadratic form."""
     i = 1 if which == "residual" else 2
     n = series.n
-    rho = correlogram(series, i, i, m).values
+    rho = lag_correlations(series, m).rho(i, i, m)[1:]
     k = np.arange(1, m + 1)
     w = (m - k + 1.0) / m
     stat = n * (n + 2.0) * float(np.sum(w * rho * rho / (n - k)))
@@ -240,7 +264,9 @@ def weighted_q(series: ResidualSeries, m: int, order_correction: int = 0, which:
 # ---------------------------------------------------------------------------
 
 
-def monti(series: ResidualSeries, m: int, order_correction: int = 0, which: str = "residual") -> TestReport:
+def monti(
+    series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
+) -> TestReport:
     """n(n+2) sum (n-k)^-1 pi_k^2 on residual or squared-residual PACF."""
     i = 1 if which == "residual" else 2
     n = series.n
@@ -248,7 +274,7 @@ def monti(series: ResidualSeries, m: int, order_correction: int = 0, which: str 
     dist = _chi2_dist(m, correction)
     name = "M11" if i == 1 else "M22"
     try:
-        pac = durbin_levinson(correlogram(series, i, i, m).values)
+        pac = lag_correlations(series, m).pacf(i, m)
     except SingularToeplitz:
         return _degenerate(name, m, correction, dist)
     k = np.arange(1, m + 1)
@@ -256,7 +282,9 @@ def monti(series: ResidualSeries, m: int, order_correction: int = 0, which: str 
     return _report(name, stat, m, correction, dist)
 
 
-def weighted_m(series: ResidualSeries, m: int, order_correction: int = 0, which: str = "residual") -> TestReport:
+def weighted_m(
+    series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
+) -> TestReport:
     """Triangularly weighted PACF quadratic form; same gamma null as weighted_q."""
     i = 1 if which == "residual" else 2
     n = series.n
@@ -265,7 +293,7 @@ def weighted_m(series: ResidualSeries, m: int, order_correction: int = 0, which:
     dist = ("gamma", shape, scale)
     name = "Mw11" if i == 1 else "Mw22"
     try:
-        pac = durbin_levinson(correlogram(series, i, i, m).values)
+        pac = lag_correlations(series, m).pacf(i, m)
     except SingularToeplitz:
         return _degenerate(name, m, correction, dist)
     k = np.arange(1, m + 1)
@@ -280,7 +308,7 @@ def weighted_m(series: ResidualSeries, m: int, order_correction: int = 0, which:
 
 
 def pena_d(
-    series: ResidualSeries,
+    series: ResidualSeries | LagCorrelations,
     m: int,
     order_correction: int = 0,
     standardized: bool = False,
@@ -301,7 +329,9 @@ def pena_d(
     return _report("D11" if i == 1 else "D22", stat, m, correction, dist)
 
 
-def pena_dtilde(series: ResidualSeries, m: int, order_correction: int = 0, which: str = "residual") -> TestReport:
+def pena_dtilde(
+    series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
+) -> TestReport:
     """-(n/(m+1)) log|R_ii(m)| with per-lag standardized entries."""
     i = 1 if which == "residual" else 2
     n = series.n
@@ -322,7 +352,7 @@ def pena_dtilde(series: ResidualSeries, m: int, order_correction: int = 0, which
 # ---------------------------------------------------------------------------
 
 
-def cm_statistic(series: ResidualSeries, m: int) -> float:
+def cm_statistic(series: ResidualSeries | LagCorrelations, m: int) -> float:
     """-(n/(m+1)) log|R(m)| on the 2(m+1)-dimensional block matrix."""
     block = build_block(series, m)
     try:
@@ -332,7 +362,7 @@ def cm_statistic(series: ResidualSeries, m: int) -> float:
     return -(series.n / (m + 1.0)) * logdet
 
 
-def cm_test(series: ResidualSeries, m: int, p_plus_q: int = 0) -> TestReport:
+def cm_test(series: ResidualSeries | LagCorrelations, m: int, p_plus_q: int = 0) -> TestReport:
     """The block log-determinant statistic with its gamma null."""
     shape, scale = cm_gamma_params(m, p_plus_q)
     dist = ("gamma", shape, scale)
@@ -534,63 +564,70 @@ def evaluate_statistics(
     garch_eps=None,
     garch_sigma2=None,
     garch_orders: tuple[int, int] = (0, 0),
+    correlations: LagCorrelations | None = None,
 ) -> dict[str, TestReport]:
     """Compute the requested statistics at one lag order on one residual series.
+
+    Every statistic reads its correlations, partial autocorrelations and
+    Toeplitz entries from one lag kernel of the series, so each correlation
+    kind is computed once however many statistics use it. ``correlations``
+    passes in a kernel of this series at a largest lag >= m, built once and
+    shared by the evaluations at every lag order; without it a kernel at m is
+    built here. Either way the values are bit for bit the same.
 
     ``garch_eps``/``garch_sigma2`` feed the Lb family and must come from a
     fitted conditional-variance model; requesting Lb/Lbw without them is an
     error. Statistics whose correlation matrices degenerate are returned as
     degenerate reports rather than raised.
     """
+    if correlations is None:
+        corr = LagCorrelations(series, m)
+    elif correlations.series is series:
+        corr = correlations
+    else:
+        raise ValueError("correlations must be the lag kernel of the same residual series")
     n = series.n
     reports: dict[str, TestReport] = {}
-    acfs: dict[str, CorrSequence] = {}
-
-    def acf(i: int, j: int) -> CorrSequence:
-        key = f"rho{i}{j}"
-        if key not in acfs:
-            acfs[key] = correlogram(series, i, j, m)
-        return acfs[key]
 
     for name in names:
         if name not in ALL_STATISTICS:
             raise InvalidSpec(f"unknown statistic {name!r}")
         if name == "Cm":
-            reports[name] = cm_test(series, m, order_correction)
+            reports[name] = cm_test(corr, m, order_correction)
         elif name == "Q_BP":
-            reports[name] = box_pierce(acf(1, 1), n, m, order_correction)
+            reports[name] = box_pierce(corr.correlogram(1, 1, m), n, m, order_correction)
         elif name == "Q11":
-            reports[name] = ljung_box(acf(1, 1), n, m, order_correction)
+            reports[name] = ljung_box(corr.correlogram(1, 1, m), n, m, order_correction)
         elif name == "Q22":
-            reports[name] = ljung_box(acf(2, 2), n, m)
+            reports[name] = ljung_box(corr.correlogram(2, 2, m), n, m)
         elif name == "Q12":
-            reports[name] = ljung_box(acf(1, 2), n, m)
+            reports[name] = ljung_box(corr.correlogram(1, 2, m), n, m)
         elif name == "Q21":
-            reports[name] = ljung_box(acf(2, 1), n, m)
+            reports[name] = ljung_box(corr.correlogram(2, 1, m), n, m)
         elif name == "Qt12":
-            reports[name] = box_pierce(acf(1, 2), n, m)
+            reports[name] = box_pierce(corr.correlogram(1, 2, m), n, m)
         elif name == "Qt21":
-            reports[name] = box_pierce(acf(2, 1), n, m)
+            reports[name] = box_pierce(corr.correlogram(2, 1, m), n, m)
         elif name == "D11":
-            reports[name] = pena_d(series, m, order_correction, which="residual")
+            reports[name] = pena_d(corr, m, order_correction, which="residual")
         elif name == "D22":
-            reports[name] = pena_d(series, m, which="squared")
+            reports[name] = pena_d(corr, m, which="squared")
         elif name == "Dt11":
-            reports[name] = pena_dtilde(series, m, order_correction, which="residual")
+            reports[name] = pena_dtilde(corr, m, order_correction, which="residual")
         elif name == "Dt22":
-            reports[name] = pena_dtilde(series, m, which="squared")
+            reports[name] = pena_dtilde(corr, m, which="squared")
         elif name == "M11":
-            reports[name] = monti(series, m, order_correction, which="residual")
+            reports[name] = monti(corr, m, order_correction, which="residual")
         elif name == "M22":
-            reports[name] = monti(series, m, which="squared")
+            reports[name] = monti(corr, m, which="squared")
         elif name == "Qw11":
-            reports[name] = weighted_q(series, m, order_correction, which="residual")
+            reports[name] = weighted_q(corr, m, order_correction, which="residual")
         elif name == "Qw22":
-            reports[name] = weighted_q(series, m, which="squared")
+            reports[name] = weighted_q(corr, m, which="squared")
         elif name == "Mw11":
-            reports[name] = weighted_m(series, m, order_correction, which="residual")
+            reports[name] = weighted_m(corr, m, order_correction, which="residual")
         elif name == "Mw22":
-            reports[name] = weighted_m(series, m, which="squared")
+            reports[name] = weighted_m(corr, m, which="squared")
         else:  # Lb / Lbw
             if garch_eps is None or garch_sigma2 is None:
                 raise InvalidSpec(f"{name} requires fitted conditional variances")

@@ -282,6 +282,11 @@ def _simulate_bilinear(model_id: int, eps: np.ndarray) -> np.ndarray:
 def simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
     """Generate n observations from the spec, deterministically in (spec, n, seed)."""
     spec.validate()
+    return _simulate(spec, n, seed)
+
+
+def _simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
+    """:func:`simulate` for a spec that has already been validated."""
     if n < 10:
         raise InvalidSpec(f"need n >= 10, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1)))

@@ -27,8 +27,8 @@ from .fitting import (
     fit_garch_qmle,
     select_ar_order_aic,
 )
-from .models import Arma, ArmaGarch, Garch, ModelSpec, simulate, spec_from_dict, spec_to_dict
-from .residuals import make_residual_series
+from .models import Arma, ArmaGarch, Garch, ModelSpec, _simulate, spec_from_dict, spec_to_dict
+from .residuals import LagCorrelations, make_residual_series
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -242,10 +242,16 @@ def _conditional_variance(fit: FitResult) -> np.ndarray | None:
 
 
 def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray, int, int]:
-    """Rejection counts for replicates [start, stop); the deterministic kernel."""
+    """Rejection counts for replicates [start, stop); the deterministic kernel.
+
+    ``exp`` must already be validated: the generator spec is not checked again
+    for each replicate. Each fit's residuals are correlated once, at the
+    largest m, and every m reads that one lag kernel.
+    """
     stats = list(exp.statistics)
     n_list = list(exp.n_list)
     m_list = list(exp.m_list)
+    max_m = max(m_list)
     levels = np.asarray(exp.levels, dtype=float)
     counts = np.zeros((len(stats), len(n_list), len(m_list), len(levels)), dtype=np.int64)
     degenerate = 0
@@ -253,13 +259,14 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
     for rep in range(start, stop):
         seed = replicate_seed(exp.master_seed, rep)
         for ni, n in enumerate(n_list):
-            z = simulate(exp.generator, n, seed)
+            z = _simulate(exp.generator, n, seed)
             try:
                 fit = fit_series(z, exp.fitter, exp.generator)
             except PortmanteauError:
                 failures += 1
                 continue
             sigma2 = _conditional_variance(fit)
+            correlations = LagCorrelations(fit.residuals, max_m)
             for mi, m in enumerate(m_list):
                 reports = evaluate_statistics(
                     stats,
@@ -269,6 +276,7 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
                     garch_eps=fit.garch_eps,
                     garch_sigma2=sigma2,
                     garch_orders=fit.garch_orders,
+                    correlations=correlations,
                 )
                 for si, name in enumerate(stats):
                     report = reports[name]

@@ -4,10 +4,20 @@ Conventions used throughout: a residual series of length n is reduced to two
 centered transforms, f1(e_t) = e_t - mean(e) and f2(e_t) = e_t^2 - mean(e^2).
 All covariances use the divisor n regardless of lag, so every sample
 correlation sequence is positive semidefinite by construction.
+
+Every correlation the statistics use comes from one lag kernel,
+:class:`LagCorrelations`: for one series and a largest lag M it computes each
+of the four kinds rho_11, rho_22, rho_12 and rho_21 over lags 0..M at most
+once, by one dot product per lag, and runs the Durbin-Levinson recursion at
+most once per autocorrelation kind. Every smaller lag order m reads a prefix
+of those sequences, which is bit for bit what a separate computation at m
+gives, because no lag's value depends on M. ``cross_corr_sequence``,
+``correlogram`` and the statistics in ``diagnostics`` all read the kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +97,17 @@ def make_residual_series(values) -> ResidualSeries:
         raise TooShort(f"need at least 4 observations, got {n}")
     if not np.all(np.isfinite(v)):
         raise NonFinite("residual series contains NaN or Inf")
-    c1 = v - v.mean()
-    sq = v * v
-    c2 = sq - sq.mean()
-    g11 = float(c1 @ c1) / n
-    g22 = float(c2 @ c2) / n
+    # Finite residuals can still overflow here (e^2 of an exploding path). The
+    # overflow is reported by the NonFinite below, not by a warning: an
+    # infinite or NaN variance would otherwise poison every correlation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1 = v - v.mean()
+        sq = v * v
+        c2 = sq - sq.mean()
+        g11 = float(c1 @ c1) / n
+        g22 = float(c2 @ c2) / n
+    if not (math.isfinite(g11) and math.isfinite(g22)):
+        raise NonFinite("zero-lag variance of the residuals or their squares overflowed")
     if g11 < VARIANCE_FLOOR:
         raise DegenerateVariance("residual series is constant (gamma11_0 = 0)")
     if g22 < VARIANCE_FLOOR:
@@ -134,7 +150,11 @@ def cross_correlation(series: ResidualSeries, i: int, j: int, k: int) -> float:
 
 
 def cross_corr_sequence(series: ResidualSeries, i: int, j: int, m: int) -> np.ndarray:
-    """Vector of rho_ij(k) for k = 0..m."""
+    """Vector of rho_ij(k) for k = 0..m: the lag kernel's pass over one kind.
+
+    One dot product per lag, scaled by the zero-lag norms; a new array on
+    every call.
+    """
     n = series.n
     if m >= n:
         raise LagOutOfRange(f"m = {m} must be smaller than n = {n}")
@@ -148,21 +168,56 @@ def cross_corr_sequence(series: ResidualSeries, i: int, j: int, m: int) -> np.nd
     return out
 
 
+def standardization_factors(n: int, lags) -> np.ndarray:
+    """The per-lag factors sqrt((n+2)/(n-|k|)) of the standardized correlations."""
+    return np.sqrt((n + 2.0) / (n - np.abs(lags)))
+
+
 def standardize_correlation(rho, k: int, n: int):
     """Scale a lag-k correlation by sqrt((n+2)/(n-|k|))."""
     if abs(k) >= n:
         raise LagOutOfRange(f"|k| = {abs(k)} must be smaller than n = {n}")
-    return np.sqrt((n + 2.0) / (n - abs(k))) * rho
+    return standardization_factors(n, k) * rho
 
 
-def correlogram(series: ResidualSeries, i: int, j: int, m: int, standardized: bool = False) -> CorrSequence:
-    """Correlations rho_ij(k) for k = 1..m as a :class:`CorrSequence`."""
-    values = cross_corr_sequence(series, i, j, m)[1:]
-    lags = np.arange(1, m + 1)
-    if standardized:
-        values = np.sqrt((series.n + 2.0) / (series.n - lags)) * values
-    kind = f"rho{i}{j}"
-    return CorrSequence(kind=kind, lags=lags, values=values, standardized=standardized)
+def durbin_levinson_prefix(rho: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """The Durbin-Levinson recursion on rho(1..M), run as far as it goes.
+
+    Returns the partial autocorrelations it reached and the order K at which
+    the prediction-error variance hit zero or below (None when it never did
+    before order M). The recursion up to order m does not depend on M, so the
+    run at M answers every m <= M (see :func:`pacf_prefix`).
+    """
+    rho = np.asarray(rho, dtype=float)
+    m = rho.size
+    pacf = np.empty(m)
+    phi = np.zeros(m)
+    v = 1.0
+    for k in range(1, m + 1):
+        if v <= 0.0:
+            return pacf[: k - 1], k - 1
+        if k == 1:
+            pik = rho[0]
+            phi[0] = pik
+        else:
+            pik = (rho[k - 1] - phi[: k - 1] @ rho[k - 2 :: -1]) / v
+            phi[: k - 1] -= pik * phi[k - 2 :: -1].copy()
+            phi[k - 1] = pik
+        pacf[k - 1] = pik
+        v *= 1.0 - pik * pik
+    return pacf, None
+
+
+def pacf_prefix(run: tuple[np.ndarray, int | None], m: int) -> np.ndarray:
+    """pi_1..pi_m from a :func:`durbin_levinson_prefix` run at some M >= m.
+
+    Raises :class:`SingularToeplitz` exactly when ``durbin_levinson`` on the
+    first m correlations would: when the run broke down at an order K < m.
+    """
+    values, failed = run
+    if failed is not None and m > failed:
+        raise SingularToeplitz(failed)
+    return values[:m]
 
 
 def durbin_levinson(rho: np.ndarray) -> np.ndarray:
@@ -173,23 +228,64 @@ def durbin_levinson(rho: np.ndarray) -> np.ndarray:
     minor of that order is not positive definite.
     """
     rho = np.asarray(rho, dtype=float)
-    m = rho.size
-    pacf = np.empty(m)
-    phi = np.zeros(m)
-    v = 1.0
-    for k in range(1, m + 1):
-        if v <= 0.0:
-            raise SingularToeplitz(k - 1)
-        if k == 1:
-            pik = rho[0]
-            phi[0] = pik
-        else:
-            pik = (rho[k - 1] - phi[: k - 1] @ rho[k - 2 :: -1]) / v
-            phi[: k - 1] -= pik * phi[k - 2 :: -1].copy()
-            phi[k - 1] = pik
-        pacf[k - 1] = pik
-        v *= 1.0 - pik * pik
-    return pacf
+    return pacf_prefix(durbin_levinson_prefix(rho), rho.size)
+
+
+class LagCorrelations:
+    """The lag kernel: the correlations of one residual series up to lag M.
+
+    ``rho(i, j, m)`` is rho_ij(k) for k = 0..m and ``pacf(i, m)`` the partial
+    autocorrelations pi_1..pi_m of rho_ii, for any m <= M. Each kind's
+    correlations over lags 0..M and each kind's Durbin-Levinson run are
+    computed on first use and then sliced, so a statistic battery over
+    several lag orders correlates the series once per kind. The returned
+    arrays are read-only views of that cache.
+    """
+
+    def __init__(self, series: ResidualSeries, max_lag: int):
+        self.series = series
+        self.n = series.n
+        self.max_lag = max_lag
+        self._rho: dict[tuple[int, int], np.ndarray] = {}
+        self._pacf: dict[int, tuple[np.ndarray, int | None]] = {}
+
+    def rho(self, i: int, j: int, m: int) -> np.ndarray:
+        """rho_ij(k) for k = 0..m."""
+        if m > self.max_lag:
+            raise LagOutOfRange(f"m = {m} exceeds the kernel's largest lag {self.max_lag}")
+        seq = self._rho.get((i, j))
+        if seq is None:
+            seq = cross_corr_sequence(self.series, i, j, self.max_lag)
+            seq.flags.writeable = False
+            self._rho[(i, j)] = seq
+        return seq[: m + 1]
+
+    def pacf(self, i: int, m: int) -> np.ndarray:
+        """pi_1..pi_m of rho_ii; raises :class:`SingularToeplitz` like ``durbin_levinson``."""
+        run = self._pacf.get(i)
+        if run is None:
+            run = durbin_levinson_prefix(self.rho(i, i, self.max_lag)[1:])
+            run[0].flags.writeable = False
+            self._pacf[i] = run
+        return pacf_prefix(run, m)
+
+    def correlogram(self, i: int, j: int, m: int, standardized: bool = False) -> CorrSequence:
+        """rho_ij(k) for k = 1..m as a :class:`CorrSequence`."""
+        values = self.rho(i, j, m)[1:]
+        lags = np.arange(1, m + 1)
+        if standardized:
+            values = standardization_factors(self.n, lags) * values
+        return CorrSequence(kind=f"rho{i}{j}", lags=lags, values=values, standardized=standardized)
+
+
+def lag_correlations(source: ResidualSeries | LagCorrelations, m: int) -> LagCorrelations:
+    """``source`` itself when it is already a kernel, else a new kernel of the series at largest lag m."""
+    return source if isinstance(source, LagCorrelations) else LagCorrelations(source, m)
+
+
+def correlogram(series: ResidualSeries, i: int, j: int, m: int, standardized: bool = False) -> CorrSequence:
+    """Correlations rho_ij(k) for k = 1..m as a :class:`CorrSequence`."""
+    return LagCorrelations(series, m).correlogram(i, j, m, standardized)
 
 
 def pacf(acf: CorrSequence, m: int | None = None) -> PacfSequence:

@@ -74,6 +74,10 @@ class TestSimulateBasics:
         with pytest.raises(InvalidSpec):
             simulate(ModelSpec(model=Arma()), 5, 0)
 
+    def test_spec_validated(self):
+        with pytest.raises(InvalidSpec):
+            simulate(ModelSpec(model=Arma(phi=(1.2,))), 50, 0)
+
 
 class TestGarchSimulation:
     def test_constant_variance_collapse(self):

@@ -10,6 +10,7 @@ from portmanteau import (
     Garch,
     McTable,
     ModelSpec,
+    Star,
     experiment_from_dict,
     experiment_to_dict,
     rejection_frequency,
@@ -94,6 +95,21 @@ class TestRunExperiment:
         table = run_experiment(exp, workers=1)
         assert table.fit_failures == 20
         assert all(v == 0.0 for v in table.cells.values())
+
+    # the explosive path stays finite, but its squares overflow
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_overflow_is_a_fit_failure_not_a_rejection(self):
+        exp = _small_experiment(
+            generator=ModelSpec(model=Star(lower_coeff=1.5, upper_coeff=1.5)),
+            fitter=FitterSpec(kind="none"),
+            n_list=(100,),
+            m_list=(5,),
+            replications=10,
+            statistics=("Cm",),
+        )
+        table = run_experiment(exp, workers=1)
+        assert table.fit_failures == 10
+        assert table.frequency("Cm", 100, 5, 0.05) == 0.0
 
     def test_monotone_in_level(self):
         exp = _small_experiment(replications=300, levels=(0.01, 0.05, 0.10, 0.5))

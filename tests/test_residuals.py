@@ -50,6 +50,11 @@ class TestMakeResidualSeries:
         with pytest.raises(NonFinite):
             make_residual_series([1.0, np.inf, 2.0, 3.0])
 
+    def test_overflowing_squares(self):
+        # finite residuals whose squares overflow: gamma22_0 is not finite
+        with pytest.raises(NonFinite):
+            make_residual_series([1e200, -1e200, 3.0, 1.0])
+
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateVariance):
             make_residual_series([2.5, 2.5, 2.5, 2.5])
