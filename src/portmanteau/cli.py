@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .diagnostics import ALL_STATISTICS, evaluate_statistics
-from .errors import ConfigError, CsvFormatError, InvalidSpec, PortmanteauError
+from .errors import ConfigError, CsvFormatError, InvalidSpec, NonFinite, PortmanteauError
 from .fitting import FitResult
 from .models import simulate, spec_from_dict
 from .montecarlo import (
@@ -26,6 +26,7 @@ from .montecarlo import (
     fit_series,
     run_experiment,
 )
+from .residuals import LagCorrelations
 
 DEFAULT_TEST_STATS = ("Cm", "Q12", "Dt22", "Q22", "Qw22", "Mw22", "Lb", "Lbw")
 
@@ -163,7 +164,10 @@ def _resolve_seed(seed: int) -> int:
 def _cmd_simulate(args) -> int:
     spec = spec_from_dict(_load_json_argument(args.model))
     seed = _resolve_seed(args.seed)
-    z = simulate(spec, args.n, seed)
+    try:
+        z = simulate(spec, args.n, seed)
+    except NonFinite as exc:  # the spec's parameters are explosive: malformed input
+        raise InvalidSpec(str(exc)) from exc
     start = datetime.date(2000, 1, 3)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -231,6 +235,7 @@ def _cmd_test(args) -> int:
             raise ConfigError("Lb/Lbw require a conditional-variance fit (arch or garch)")
         names = [n for n in names if n not in ("Lb", "Lbw")]
     rows = []
+    correlations = LagCorrelations(fit.residuals, max(lags))
     for m in lags:
         reports = evaluate_statistics(
             names,
@@ -240,6 +245,7 @@ def _cmd_test(args) -> int:
             garch_eps=fit.garch_eps,
             garch_sigma2=sigma2,
             garch_orders=fit.garch_orders,
+            correlations=correlations,
         )
         for name in names:
             rep = reports[name]
@@ -268,7 +274,8 @@ def _cmd_mc(args) -> int:
     _write_curves(table, exp, base + "_curves.csv")
     _log(
         f"wrote {base}.csv, {base}.json, {base}_curves.csv "
-        f"({table.fit_failures} fit failures, {table.degenerate_count} degenerate evaluations)"
+        f"({table.simulation_failures} simulation failures, {table.fit_failures} fit failures, "
+        f"{table.degenerate_count} degenerate evaluations)"
     )
     return 0
 

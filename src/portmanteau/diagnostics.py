@@ -9,16 +9,34 @@ is compared against: quadratic-form tests on one correlation kind (Q families),
 determinant tests on one Toeplitz matrix (D families), partial-autocorrelation
 tests (M families) and the fitted-variance tests (Lb family).
 
-Every statistic that takes a residual series also takes its lag kernel
-(:class:`~portmanteau.residuals.LagCorrelations`) at any largest lag >= m and
-then reads its correlations from it; ``evaluate_statistics`` hands one kernel
-to all of them.
+Every statistic but the Lb family is one row of ``_TABLE``, and one evaluator
+turns a row and a lag kernel into a :class:`TestReport`; a new correlation
+statistic is one more row. The columns are:
+
+- ``source``: ``rho`` (rho_ij(k), k = 1..m), ``pacf`` (the partial
+  autocorrelations of rho_ii), ``toeplitz`` (log|R_ij(m)|) or ``block``
+  (log|R(m)| of the block matrix, which spans all four kinds);
+- ``i``, ``j``: the powers of the leading and of the lagged residual. The order
+  correction p+q applies only when i = j = 1, so the block row is (1, 1);
+- ``standardized``: the Toeplitz entries carry the factor sqrt((n+2)/(n-k));
+- ``form``: ``bp`` n sum x_k^2, ``lb`` n(n+2) sum x_k^2/(n-k), ``lbw`` the
+  same with triangular weights (m-k+1)/m, ``det`` n[1 - |R|^(1/m)] or
+  ``logdet`` -(n/(m+1)) log|R|;
+- ``null``: ``chi2`` on m minus the correction degrees of freedom, the gamma
+  matching triangular weights over m (``tri_m``) or m+1 (``tri_m+1``), or the
+  closed-form Cm gamma (``cm``).
+
+A sample whose Toeplitz or block matrix is not positive definite gives a
+degenerate report. Each public statistic function evaluates its row on a
+residual series or on its lag kernel
+(:class:`~portmanteau.residuals.LagCorrelations`) at any largest lag >= m;
+``evaluate_statistics`` hands one kernel to all of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
@@ -37,6 +55,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularToeplitz,
 )
+from .models import _check_roots
 from .residuals import (
     CorrSequence,
     LagCorrelations,
@@ -48,28 +67,42 @@ from .residuals import (
     lag_correlations,
 )
 
-ALL_STATISTICS = (
-    "Cm",
-    "Q_BP",
-    "Q11",
-    "Q22",
-    "Q12",
-    "Q21",
-    "Qt12",
-    "Qt21",
-    "D11",
-    "D22",
-    "Dt11",
-    "Dt22",
-    "M11",
-    "M22",
-    "Qw11",
-    "Qw22",
-    "Mw11",
-    "Mw22",
-    "Lb",
-    "Lbw",
-)
+
+@dataclass(frozen=True)
+class _Row:
+    """One correlation statistic of the table; the module docstring defines the columns."""
+
+    source: str  # "rho" | "pacf" | "toeplitz" | "block"
+    i: int
+    j: int
+    form: str  # "bp" | "lb" | "lbw" | "det" | "logdet"
+    null: str  # "chi2" | "tri_m" | "tri_m+1" | "cm"
+    standardized: bool = False
+
+
+_TABLE = {
+    "Cm": _Row("block", 1, 1, "logdet", "cm"),
+    "Q_BP": _Row("rho", 1, 1, "bp", "chi2"),
+    "Q11": _Row("rho", 1, 1, "lb", "chi2"),
+    "Q22": _Row("rho", 2, 2, "lb", "chi2"),
+    "Q12": _Row("rho", 1, 2, "lb", "chi2"),
+    "Q21": _Row("rho", 2, 1, "lb", "chi2"),
+    "Qt12": _Row("rho", 1, 2, "bp", "chi2"),
+    "Qt21": _Row("rho", 2, 1, "bp", "chi2"),
+    "D11": _Row("toeplitz", 1, 1, "det", "tri_m"),
+    "D22": _Row("toeplitz", 2, 2, "det", "tri_m"),
+    "Dt11": _Row("toeplitz", 1, 1, "logdet", "tri_m+1", standardized=True),
+    "Dt22": _Row("toeplitz", 2, 2, "logdet", "tri_m+1", standardized=True),
+    "M11": _Row("pacf", 1, 1, "lb", "chi2"),
+    "M22": _Row("pacf", 2, 2, "lb", "chi2"),
+    "Qw11": _Row("rho", 1, 1, "lbw", "tri_m"),
+    "Qw22": _Row("rho", 2, 2, "lbw", "tri_m"),
+    "Mw11": _Row("pacf", 1, 1, "lbw", "tri_m"),
+    "Mw22": _Row("pacf", 2, 2, "lbw", "tri_m"),
+}
+
+ALL_STATISTICS = (*_TABLE, "Lb", "Lbw")
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -137,7 +170,7 @@ def _degenerate(name: str, m: int, correction: int, dist: tuple) -> TestReport:
 
 
 # ---------------------------------------------------------------------------
-# Gamma approximations for weighted quadratic forms
+# Null distributions
 # ---------------------------------------------------------------------------
 
 
@@ -209,12 +242,97 @@ def _chi2_dist(m: int, correction: int) -> tuple:
     return ("chi2", df)
 
 
+def _null(kind: str, m: int, correction: int) -> tuple:
+    """The distribution tag of a row's null ("chi2", "tri_m", "tri_m+1" or "cm")."""
+    if kind == "chi2":
+        return _chi2_dist(m, correction)
+    if kind == "cm":
+        return ("gamma", *cm_gamma_params(m, correction))
+    return ("gamma", *gamma_from_moments(*_triangular_moments(m, correction, over=kind[len("tri_"):])))
+
+
 # ---------------------------------------------------------------------------
-# Quadratic-form statistics on correlation sequences
+# Forms and the row evaluator
 # ---------------------------------------------------------------------------
 
-_Q_NAMES = {"rho11": "Q11", "rho22": "Q22", "rho12": "Q12", "rho21": "Q21"}
-_QT_NAMES = {"rho11": "Q_BP", "rho12": "Qt12", "rho21": "Qt21", "rho22": "Qt22"}
+
+def _bp(x: np.ndarray, n: int, m: int) -> float:
+    """n sum x_k^2."""
+    return n * float(x @ x)
+
+
+def _lb(x: np.ndarray, n: int, m: int) -> float:
+    """n(n+2) sum (n-k)^-1 x_k^2."""
+    k = np.arange(1, m + 1)
+    return n * (n + 2.0) * float(np.sum(x * x / (n - k)))
+
+
+def _lbw(x: np.ndarray, n: int, m: int) -> float:
+    """n(n+2) sum w_k (n-k)^-1 x_k^2 with triangular weights w_k = (m-k+1)/m."""
+    k = np.arange(1, m + 1)
+    w = (m - k + 1.0) / m
+    return n * (n + 2.0) * float(np.sum(w * x * x / (n - k)))
+
+
+def _det(logdet: float, n: int, m: int) -> float:
+    """n [1 - |R|^(1/m)] from log|R|."""
+    return n * (1.0 - np.exp(logdet / m))
+
+
+def _logdet(logdet: float, n: int, m: int) -> float:
+    """-(n/(m+1)) log|R|."""
+    return -(n / (m + 1.0)) * logdet
+
+
+_FORMS = {"bp": _bp, "lb": _lb, "lbw": _lbw, "det": _det, "logdet": _logdet}
+
+
+def _read(row: _Row, corr: LagCorrelations, m: int):
+    """A row's input at lag order m: a correlation vector or a log-determinant."""
+    if row.source == "rho":
+        return corr.rho(row.i, row.j, m)[1:]
+    if row.source == "pacf":
+        return corr.pacf(row.i, m)
+    if row.source == "toeplitz":
+        return logdet_pd(build_toeplitz(corr, row.i, row.j, m, standardized=row.standardized))
+    return logdet_pd(build_block(corr, m))
+
+
+def _evaluate(name: str, row: _Row, read, n: int, m: int, order_correction: int) -> TestReport:
+    """One row's report on the input ``read()`` returns, degenerate if its matrix is not positive definite."""
+    correction = order_correction if row.i == row.j == 1 else 0
+    dist = _null(row.null, m, correction)
+    try:
+        x = read()
+    except (SingularToeplitz, NotPositiveDefinite):
+        return _degenerate(name, m, correction, dist)
+    return _report(name, _FORMS[row.form](x, n, m), m, correction, dist)
+
+
+def _table_test(
+    name: str, series: ResidualSeries | LagCorrelations, m: int, order_correction: int, row: _Row | None = None
+) -> TestReport:
+    """Statistic ``name`` (its table row unless ``row`` is given) on a series or its kernel."""
+    row = _TABLE[name] if row is None else row
+    corr = lag_correlations(series, m)
+    return _evaluate(name, row, lambda: _read(row, corr, m), corr.n, m, order_correction)
+
+
+def _sequence_test(name: str, form: str, acf: CorrSequence, n: int, m: int | None, order_correction: int) -> TestReport:
+    """A chi-square quadratic form on the first m values of a correlation sequence."""
+    m = acf.m if m is None else m
+    row = _Row("rho", int(acf.kind[3]), int(acf.kind[4]), form, "chi2")
+    return _evaluate(name, row, lambda: acf.values[:m], n, m, order_correction)
+
+
+def _which(family: str, which: str) -> str:
+    """The family's residual ("11") or squared-residual ("22") member."""
+    return family + ("11" if which == "residual" else "22")
+
+
+# ---------------------------------------------------------------------------
+# Public statistics
+# ---------------------------------------------------------------------------
 
 
 def ljung_box(acf: CorrSequence, n: int, m: int | None = None, order_correction: int = 0) -> TestReport:
@@ -225,86 +343,34 @@ def ljung_box(acf: CorrSequence, n: int, m: int | None = None, order_correction:
     the cross-correlation variants, whose null does not depend on the fitted
     ARMA order.
     """
-    if m is None:
-        m = acf.m
-    rho = acf.values[:m]
-    k = np.arange(1, m + 1)
-    stat = n * (n + 2.0) * float(np.sum(rho * rho / (n - k)))
-    correction = order_correction if acf.kind == "rho11" else 0
-    return _report(_Q_NAMES[acf.kind], stat, m, correction, _chi2_dist(m, correction))
+    return _sequence_test("Q" + acf.kind[3:], "lb", acf, n, m, order_correction)
 
 
 def box_pierce(acf: CorrSequence, n: int, m: int | None = None, order_correction: int = 0) -> TestReport:
     """n sum rho^2(k): the unweighted quadratic form (and its cross variants)."""
-    if m is None:
-        m = acf.m
-    rho = acf.values[:m]
-    stat = n * float(rho @ rho)
-    correction = order_correction if acf.kind == "rho11" else 0
-    return _report(_QT_NAMES[acf.kind], stat, m, correction, _chi2_dist(m, correction))
+    name = "Q_BP" if acf.kind == "rho11" else "Qt" + acf.kind[3:]
+    return _sequence_test(name, "bp", acf, n, m, order_correction)
 
 
 def weighted_q(
     series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
 ) -> TestReport:
     """Triangularly weighted version of the per-lag-weighted quadratic form."""
-    i = 1 if which == "residual" else 2
-    n = series.n
-    rho = lag_correlations(series, m).rho(i, i, m)[1:]
-    k = np.arange(1, m + 1)
-    w = (m - k + 1.0) / m
-    stat = n * (n + 2.0) * float(np.sum(w * rho * rho / (n - k)))
-    correction = order_correction if which == "residual" else 0
-    shape, scale = gamma_from_moments(*_triangular_moments(m, correction, over="m"))
-    return _report("Qw11" if i == 1 else "Qw22", stat, m, correction, ("gamma", shape, scale))
-
-
-# ---------------------------------------------------------------------------
-# Partial-autocorrelation statistics
-# ---------------------------------------------------------------------------
+    return _table_test(_which("Qw", which), series, m, order_correction)
 
 
 def monti(
     series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
 ) -> TestReport:
     """n(n+2) sum (n-k)^-1 pi_k^2 on residual or squared-residual PACF."""
-    i = 1 if which == "residual" else 2
-    n = series.n
-    correction = order_correction if which == "residual" else 0
-    dist = _chi2_dist(m, correction)
-    name = "M11" if i == 1 else "M22"
-    try:
-        pac = lag_correlations(series, m).pacf(i, m)
-    except SingularToeplitz:
-        return _degenerate(name, m, correction, dist)
-    k = np.arange(1, m + 1)
-    stat = n * (n + 2.0) * float(np.sum(pac * pac / (n - k)))
-    return _report(name, stat, m, correction, dist)
+    return _table_test(_which("M", which), series, m, order_correction)
 
 
 def weighted_m(
     series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
 ) -> TestReport:
     """Triangularly weighted PACF quadratic form; same gamma null as weighted_q."""
-    i = 1 if which == "residual" else 2
-    n = series.n
-    correction = order_correction if which == "residual" else 0
-    shape, scale = gamma_from_moments(*_triangular_moments(m, correction, over="m"))
-    dist = ("gamma", shape, scale)
-    name = "Mw11" if i == 1 else "Mw22"
-    try:
-        pac = lag_correlations(series, m).pacf(i, m)
-    except SingularToeplitz:
-        return _degenerate(name, m, correction, dist)
-    k = np.arange(1, m + 1)
-    w = (m - k + 1.0) / m
-    stat = n * (n + 2.0) * float(np.sum(w * pac * pac / (n - k)))
-    return _report(name, stat, m, correction, dist)
-
-
-# ---------------------------------------------------------------------------
-# Determinant statistics on one Toeplitz matrix
-# ---------------------------------------------------------------------------
+    return _table_test(_which("Mw", which), series, m, order_correction)
 
 
 def pena_d(
@@ -315,62 +381,29 @@ def pena_d(
     which: str = "residual",
 ) -> TestReport:
     """n [1 - |R_ii(m)|^(1/m)] on the residual or squared-residual matrix."""
-    i = 1 if which == "residual" else 2
-    n = series.n
-    correction = order_correction if which == "residual" else 0
-    shape, scale = gamma_from_moments(*_triangular_moments(m, correction, over="m"))
-    dist = ("gamma", shape, scale)
-    try:
-        mat = build_toeplitz(series, i, i, m, standardized=standardized)
-        logdet = logdet_pd(mat)
-    except NotPositiveDefinite:
-        return _degenerate("D11" if i == 1 else "D22", m, correction, dist)
-    stat = n * (1.0 - np.exp(logdet / m))
-    return _report("D11" if i == 1 else "D22", stat, m, correction, dist)
+    name = _which("D", which)
+    return _table_test(name, series, m, order_correction, replace(_TABLE[name], standardized=standardized))
 
 
 def pena_dtilde(
     series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
 ) -> TestReport:
     """-(n/(m+1)) log|R_ii(m)| with per-lag standardized entries."""
-    i = 1 if which == "residual" else 2
-    n = series.n
-    correction = order_correction if which == "residual" else 0
-    shape, scale = gamma_from_moments(*_triangular_moments(m, correction, over="m+1"))
-    dist = ("gamma", shape, scale)
-    try:
-        mat = build_toeplitz(series, i, i, m, standardized=True)
-        logdet = logdet_pd(mat)
-    except NotPositiveDefinite:
-        return _degenerate("Dt11" if i == 1 else "Dt22", m, correction, dist)
-    stat = -(n / (m + 1.0)) * logdet
-    return _report("Dt11" if i == 1 else "Dt22", stat, m, correction, dist)
-
-
-# ---------------------------------------------------------------------------
-# Block log-determinant statistic
-# ---------------------------------------------------------------------------
+    return _table_test(_which("Dt", which), series, m, order_correction)
 
 
 def cm_statistic(series: ResidualSeries | LagCorrelations, m: int) -> float:
     """-(n/(m+1)) log|R(m)| on the 2(m+1)-dimensional block matrix."""
-    block = build_block(series, m)
     try:
-        logdet = logdet_pd(block)
+        logdet = _read(_TABLE["Cm"], lag_correlations(series, m), m)
     except NotPositiveDefinite as exc:
         raise DegenerateSample(f"block correlation matrix not positive definite: {exc}") from exc
-    return -(series.n / (m + 1.0)) * logdet
+    return _logdet(logdet, series.n, m)
 
 
 def cm_test(series: ResidualSeries | LagCorrelations, m: int, p_plus_q: int = 0) -> TestReport:
     """The block log-determinant statistic with its gamma null."""
-    shape, scale = cm_gamma_params(m, p_plus_q)
-    dist = ("gamma", shape, scale)
-    try:
-        stat = cm_statistic(series, m)
-    except DegenerateSample:
-        return _degenerate("Cm", m, p_plus_q, dist)
-    return _report("Cm", stat, m, p_plus_q, dist)
+    return _table_test("Cm", series, m, p_plus_q)
 
 
 def cm_decomposition(series: ResidualSeries, m: int) -> float:
@@ -420,7 +453,7 @@ def li_mak(eps, sigma2, m: int, b: int, a: int, weighted: bool = False) -> TestR
         wts = (m - k + (b + 1.0)) / m
         stat = n * float(wts @ (rho * rho))
     else:
-        stat = n * float(rho @ rho)
+        stat = _bp(rho, n, m)
     return _report(name, stat, m, correction, dist)
 
 
@@ -455,16 +488,6 @@ def _inverse_poly_coeffs(ar_style: np.ndarray, nterms: int) -> np.ndarray:
     impulse = np.zeros(nterms)
     impulse[0] = 1.0
     return lfilter([1.0], np.concatenate(([1.0], -ar_style)), impulse)
-
-
-def _check_roots(coeffs: np.ndarray, error, label: str) -> None:
-    if coeffs.size == 0:
-        return
-    # polynomial 1 - a1 z - ... - ap z^p; roots must lie outside the unit circle
-    poly = np.concatenate(([1.0], -coeffs))
-    roots = np.roots(poly[::-1])
-    if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-10:
-        raise error(f"{label} polynomial has a root on or inside the unit circle")
 
 
 def _exact_gram(ar_style: np.ndarray) -> np.ndarray:
@@ -586,51 +609,16 @@ def evaluate_statistics(
         corr = correlations
     else:
         raise ValueError("correlations must be the lag kernel of the same residual series")
-    n = series.n
     reports: dict[str, TestReport] = {}
 
     for name in names:
-        if name not in ALL_STATISTICS:
-            raise InvalidSpec(f"unknown statistic {name!r}")
-        if name == "Cm":
-            reports[name] = cm_test(corr, m, order_correction)
-        elif name == "Q_BP":
-            reports[name] = box_pierce(corr.correlogram(1, 1, m), n, m, order_correction)
-        elif name == "Q11":
-            reports[name] = ljung_box(corr.correlogram(1, 1, m), n, m, order_correction)
-        elif name == "Q22":
-            reports[name] = ljung_box(corr.correlogram(2, 2, m), n, m)
-        elif name == "Q12":
-            reports[name] = ljung_box(corr.correlogram(1, 2, m), n, m)
-        elif name == "Q21":
-            reports[name] = ljung_box(corr.correlogram(2, 1, m), n, m)
-        elif name == "Qt12":
-            reports[name] = box_pierce(corr.correlogram(1, 2, m), n, m)
-        elif name == "Qt21":
-            reports[name] = box_pierce(corr.correlogram(2, 1, m), n, m)
-        elif name == "D11":
-            reports[name] = pena_d(corr, m, order_correction, which="residual")
-        elif name == "D22":
-            reports[name] = pena_d(corr, m, which="squared")
-        elif name == "Dt11":
-            reports[name] = pena_dtilde(corr, m, order_correction, which="residual")
-        elif name == "Dt22":
-            reports[name] = pena_dtilde(corr, m, which="squared")
-        elif name == "M11":
-            reports[name] = monti(corr, m, order_correction, which="residual")
-        elif name == "M22":
-            reports[name] = monti(corr, m, which="squared")
-        elif name == "Qw11":
-            reports[name] = weighted_q(corr, m, order_correction, which="residual")
-        elif name == "Qw22":
-            reports[name] = weighted_q(corr, m, which="squared")
-        elif name == "Mw11":
-            reports[name] = weighted_m(corr, m, order_correction, which="residual")
-        elif name == "Mw22":
-            reports[name] = weighted_m(corr, m, which="squared")
-        else:  # Lb / Lbw
+        if name in _TABLE:
+            reports[name] = _table_test(name, corr, m, order_correction)
+        elif name in ("Lb", "Lbw"):
             if garch_eps is None or garch_sigma2 is None:
                 raise InvalidSpec(f"{name} requires fitted conditional variances")
             b, a = garch_orders
             reports[name] = li_mak(garch_eps, garch_sigma2, m, b, a, weighted=(name == "Lbw"))
+        else:
+            raise InvalidSpec(f"unknown statistic {name!r}")
     return reports

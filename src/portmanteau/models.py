@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ConfigError, InvalidSpec
+from .errors import ConfigError, InvalidSpec, NonFinite
 
 DEFAULT_BURN_IN = 500
+# The shortest path the simulators produce.
+_MIN_LENGTH = 10
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,14 @@ class Innovation:
         raise InvalidSpec(f"unknown innovation law {self.law!r}")
 
 
-def _poly_roots_outside(coeffs: tuple, label: str) -> None:
-    if not coeffs:
+def _check_roots(coeffs, error: type[Exception], label: str) -> None:
+    """Raise ``error`` unless 1 - a1 z - ... - ap z^p has every root beyond 1 + 1e-10 in modulus."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.size == 0:
         return
-    poly = np.concatenate(([1.0], -np.asarray(coeffs, dtype=float)))
-    roots = np.roots(poly[::-1])
-    if roots.size and np.min(np.abs(roots)) <= 1.0:
-        raise InvalidSpec(f"{label} polynomial must have all roots outside the unit circle")
+    roots = np.roots(np.concatenate(([1.0], -coeffs))[::-1])
+    if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-10:
+        raise error(f"{label} polynomial has a root on or inside the unit circle")
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ class Arma:
         return len(self.theta)
 
     def validate(self) -> None:
-        _poly_roots_outside(self.phi, "autoregressive")
-        _poly_roots_outside(tuple(-t for t in self.theta), "moving-average")
+        _check_roots(self.phi, InvalidSpec, "autoregressive")
+        _check_roots([-t for t in self.theta], InvalidSpec, "moving-average")
         if self.phi and self.theta:
             ar_roots = np.roots(np.concatenate(([1.0], -np.asarray(self.phi)))[::-1])
             ma_roots = np.roots(np.concatenate(([1.0], np.asarray(self.theta)))[::-1])
@@ -285,10 +288,15 @@ def simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
     return _simulate(spec, n, seed)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
-    """:func:`simulate` for a spec that has already been validated."""
-    if n < 10:
-        raise InvalidSpec(f"need n >= 10, got {n}")
+    """:func:`simulate` for a spec that has already been validated.
+
+    Raises :class:`NonFinite` when the path overflows; the recursion runs with
+    numpy's overflow warnings off, so that error is what reports it.
+    """
+    if n < _MIN_LENGTH:
+        raise InvalidSpec(f"need n >= {_MIN_LENGTH}, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1)))
     total = spec.burn_in + n
     model = spec.model
@@ -313,7 +321,7 @@ def _simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
         raise InvalidSpec(f"unknown model type {type(model).__name__}")
     out = z[spec.burn_in :]
     if not np.all(np.isfinite(out)):
-        raise InvalidSpec("simulated path overflowed; check the model parameters")
+        raise NonFinite("simulated path overflowed; check the model parameters")
     return out
 
 

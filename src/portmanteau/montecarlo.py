@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import ALL_STATISTICS, evaluate_statistics
-from .errors import ConfigError, EmptySample, InvalidSpec, PortmanteauError
+from .errors import ConfigError, EmptySample, InvalidSpec, NonFinite, PortmanteauError
 from .fitting import (
     FitResult,
     fit_ar,
@@ -27,7 +27,7 @@ from .fitting import (
     fit_garch_qmle,
     select_ar_order_aic,
 )
-from .models import Arma, ArmaGarch, Garch, ModelSpec, _simulate, spec_from_dict, spec_to_dict
+from .models import _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _simulate, spec_from_dict, spec_to_dict
 from .residuals import LagCorrelations, make_residual_series
 
 CONFIG_SCHEMA_VERSION = 1
@@ -107,6 +107,8 @@ class Experiment:
             raise InvalidSpec("need at least one replication")
         if not self.n_list or not self.m_list or not self.levels or not self.statistics:
             raise InvalidSpec("n_list, m_list, levels and statistics must be non-empty")
+        if min(self.n_list) < _MIN_LENGTH:
+            raise InvalidSpec(f"every n must be at least {_MIN_LENGTH}, got {min(self.n_list)}")
         # the statistics see the fit's residuals, which can be shorter than n
         n_resid = min(self.n_list) - self.fitter.lost_rows(self.generator)
         if max(self.m_list) >= n_resid / 2:
@@ -123,8 +125,9 @@ class Experiment:
 class McTable:
     """Rejection frequencies keyed by (statistic, n, m, level).
 
-    Frequencies are rejections/replications exactly; replicates whose fit
-    failed contribute no rejections and are reported via ``fit_failures``.
+    Frequencies are rejections/replications exactly; replicates whose
+    simulated path overflowed or whose fit failed contribute no rejections
+    and are counted apart, in ``simulation_failures`` and ``fit_failures``.
     ``degenerate_count`` counts statistic evaluations that hit a degenerate
     sample (those carry p = 0 and therefore reject at every level).
     """
@@ -134,6 +137,7 @@ class McTable:
     degenerate_count: int = 0
     fit_failures: int = 0
     elapsed: float = 0.0
+    simulation_failures: int = 0
 
     def frequency(self, statistic: str, n: int, m: int, level: float) -> float:
         return self.cells[(statistic, int(n), int(m), float(level))]
@@ -158,6 +162,7 @@ class McTable:
             "replications": self.replications,
             "degenerate_count": self.degenerate_count,
             "fit_failures": self.fit_failures,
+            "simulation_failures": self.simulation_failures,
             "elapsed": self.elapsed,
             "cells": [
                 {"statistic": s, "n": n, "m": m, "level": level, "frequency": freq}
@@ -241,8 +246,9 @@ def _conditional_variance(fit: FitResult) -> np.ndarray | None:
     return fit.conditional_sd * fit.conditional_sd
 
 
-def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray, int, int]:
-    """Rejection counts for replicates [start, stop); the deterministic kernel.
+def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray, int, int, int]:
+    """(rejection counts, degenerate evaluations, simulation failures, fit
+    failures) for replicates [start, stop); the deterministic kernel.
 
     ``exp`` must already be validated: the generator spec is not checked again
     for each replicate. Each fit's residuals are correlated once, at the
@@ -255,11 +261,16 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
     levels = np.asarray(exp.levels, dtype=float)
     counts = np.zeros((len(stats), len(n_list), len(m_list), len(levels)), dtype=np.int64)
     degenerate = 0
+    sim_failures = 0
     failures = 0
     for rep in range(start, stop):
         seed = replicate_seed(exp.master_seed, rep)
         for ni, n in enumerate(n_list):
-            z = _simulate(exp.generator, n, seed)
+            try:
+                z = _simulate(exp.generator, n, seed)
+            except NonFinite:
+                sim_failures += 1
+                continue
             try:
                 fit = fit_series(z, exp.fitter, exp.generator)
             except PortmanteauError:
@@ -283,10 +294,10 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
                     if report.degenerate:
                         degenerate += 1
                     counts[si, ni, mi] += report.p_value < levels
-    return counts, degenerate, failures
+    return counts, degenerate, sim_failures, failures
 
 
-def _chunk_worker(args) -> tuple[np.ndarray, int, int]:
+def _chunk_worker(args) -> tuple[np.ndarray, int, int, int]:
     exp, start, stop = args
     return _run_replicates(exp, start, stop)
 
@@ -306,17 +317,19 @@ def run_experiment(exp: Experiment, workers: int | None = None, log=None) -> McT
     if log:
         log(f"running {reps} replicates on {workers} worker(s)")
     if workers == 1:
-        counts, degenerate, failures = _run_replicates(exp, 0, reps)
+        counts, degenerate, sim_failures, failures = _run_replicates(exp, 0, reps)
     else:
         bounds = np.linspace(0, reps, workers + 1, dtype=int)
         tasks = [(exp, int(bounds[i]), int(bounds[i + 1])) for i in range(workers) if bounds[i] < bounds[i + 1]]
         counts = None
         degenerate = 0
+        sim_failures = 0
         failures = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, deg, fail in pool.map(_chunk_worker, tasks):
+            for part, deg, sim_fail, fail in pool.map(_chunk_worker, tasks):
                 counts = part if counts is None else counts + part
                 degenerate += deg
+                sim_failures += sim_fail
                 failures += fail
     cells = {}
     for si, name in enumerate(exp.statistics):
@@ -326,13 +339,17 @@ def run_experiment(exp: Experiment, workers: int | None = None, log=None) -> McT
                     cells[(name, int(n), int(m), float(level))] = float(counts[si, ni, mi, li]) / reps
     elapsed = time.perf_counter() - t0
     if log:
-        log(f"done in {elapsed:.1f}s ({failures} fit failures, {degenerate} degenerate evaluations)")
+        log(
+            f"done in {elapsed:.1f}s ({sim_failures} simulation failures, {failures} fit failures, "
+            f"{degenerate} degenerate evaluations)"
+        )
     return McTable(
         cells=cells,
         replications=reps,
         degenerate_count=int(degenerate),
         fit_failures=int(failures),
         elapsed=elapsed,
+        simulation_failures=int(sim_failures),
     )
 
 

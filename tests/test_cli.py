@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from portmanteau import ALL_STATISTICS
 from portmanteau.cli import main, parse_fit_spec, read_returns_csv
 from portmanteau.errors import ConfigError, CsvFormatError
 
@@ -115,6 +116,14 @@ class TestSimulateCommand:
         _run(["simulate", "--model", ARMA_SPEC, "--n", "30", "--seed", "2", "--out", str(b)], capsys)
         assert a.read_text() == b.read_text()
 
+    def test_overflowing_model_exit_2(self, tmp_path, capsys):
+        spec = json.dumps({"model": {"kind": "star", "lower_coeff": 5.0, "upper_coeff": 5.0}})
+        out = tmp_path / "sim.csv"
+        code, _, err = _run(["simulate", "--model", spec, "--n", "100", "--out", str(out)], capsys)
+        assert code == 2
+        assert "overflowed" in err
+        assert not out.exists()
+
     def test_model_file_path(self, tmp_path, capsys):
         spec_path = _write(tmp_path / "model.json", ARMA_SPEC)
         out = tmp_path / "sim.csv"
@@ -199,6 +208,17 @@ class TestTestCommand:
         data = self._simulate_to(tmp_path, capsys)
         code, _, _ = _run(["test", data, "--stats", "Nope", "--lags", "5"], capsys)
         assert code == 2
+
+    def test_lags_share_one_kernel_byte_identically(self, tmp_path, capsys):
+        data = self._simulate_to(tmp_path, capsys, spec=GARCH_SPEC, n=400, seed=6)
+        stats = ",".join(ALL_STATISTICS)
+        outputs = []
+        for lags in ("5,10", "5", "10"):
+            code, out, _ = _run(["test", data, "--fit", "arch:2", "--lags", lags, "--stats", stats], capsys)
+            assert code == 0
+            outputs.append(out.splitlines())
+        both, five, ten = outputs
+        assert both == five + ten[1:]
 
     def test_li_mak_without_variance_fit_rejected(self, tmp_path, capsys):
         data = self._simulate_to(tmp_path, capsys)

@@ -13,11 +13,12 @@ from portmanteau import (
     Sqar,
     Star,
     Tar,
+    build_qm,
     simulate,
     spec_from_dict,
     spec_to_dict,
 )
-from portmanteau.errors import ConfigError, InvalidSpec
+from portmanteau.errors import ConfigError, InvalidSpec, NonInvertible, NonStationary
 
 
 class TestInnovations:
@@ -120,6 +121,17 @@ class TestArmaValidation:
     def test_noninvertible_rejected(self):
         with pytest.raises(InvalidSpec):
             Arma(theta=(-1.05,)).validate()
+
+    def test_root_within_margin_rejected_like_build_qm(self):
+        coeff = 1.0 / (1.0 + 1e-11)  # root of modulus 1 + 1e-11
+        with pytest.raises(InvalidSpec):
+            Arma(phi=(coeff,)).validate()
+        with pytest.raises(InvalidSpec):
+            Arma(theta=(-coeff,)).validate()
+        with pytest.raises(NonStationary):
+            build_qm([coeff], [], 5)
+        with pytest.raises(NonInvertible):
+            build_qm([], [-coeff], 5)
 
     def test_common_roots_rejected(self):
         # phi(B) = 1 - 0.5B and theta(B) = 1 - 0.5B share the root B = 2

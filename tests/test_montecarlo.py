@@ -111,6 +111,28 @@ class TestRunExperiment:
         assert table.fit_failures == 10
         assert table.frequency("Cm", 100, 5, 0.05) == 0.0
 
+    def test_simulation_overflow_is_counted_not_raised(self, tmp_path):
+        import json
+        import warnings
+
+        exp = _small_experiment(
+            generator=ModelSpec(model=Star(lower_coeff=5.0, upper_coeff=5.0)),
+            fitter=FitterSpec(kind="none"),
+            n_list=(100,),
+            m_list=(5,),
+            replications=6,
+            statistics=("Cm",),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = run_experiment(exp, workers=1)
+        assert table.simulation_failures == 6
+        assert table.fit_failures == 0
+        assert table.frequency("Cm", 100, 5, 0.05) == 0.0
+        assert run_experiment(exp, workers=2).simulation_failures == 6
+        table.to_json(tmp_path / "table.json")
+        assert json.loads((tmp_path / "table.json").read_text())["simulation_failures"] == 6
+
     def test_monotone_in_level(self):
         exp = _small_experiment(replications=300, levels=(0.01, 0.05, 0.10, 0.5))
         table = run_experiment(exp, workers=2)
@@ -153,6 +175,12 @@ class TestValidation:
         _small_experiment(fitter=FitterSpec(kind="ar", p=2), n_list=(40,), m_list=(18,)).validate()
         _small_experiment(fitter=FitterSpec(kind="ar_aic", p_max=4), n_list=(40,), m_list=(17,)).validate()
         _small_experiment(fitter=FitterSpec(kind="none"), n_list=(40,), m_list=(19,)).validate()
+
+    def test_n_below_simulator_minimum(self):
+        # m = 1 fits the residual length, but the simulator cannot make 8 values
+        with pytest.raises(InvalidSpec):
+            _small_experiment(n_list=(8,), m_list=(1,)).validate()
+        _small_experiment(n_list=(10,), m_list=(1,)).validate()
 
     def test_unknown_statistic(self):
         with pytest.raises(InvalidSpec):
