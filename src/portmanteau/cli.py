@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from .diagnostics import ALL_STATISTICS, evaluate_statistics
-from .errors import ConfigError, CsvFormatError, InvalidSpec, NonFinite, PortmanteauError
+from .corrmat import _check_order
+from .errors import ConfigError, CsvFormatError, InvalidSpec, LagTooLarge, NonFinite, PortmanteauError
 from .fitting import FitResult
 from .models import simulate, spec_from_dict
 from .montecarlo import (
@@ -213,7 +214,10 @@ def _cmd_fit(args) -> int:
 def _cmd_test(args) -> int:
     z = read_returns_csv(args.input)
     fitter = parse_fit_spec(args.fit)
-    lags = [int(part) for part in args.lags.split(",") if part]
+    try:
+        lags = [int(part) for part in args.lags.split(",") if part]
+    except ValueError:
+        raise ConfigError(f"--lags must list integers, got {args.lags!r}") from None
     if not lags:
         raise ConfigError("--lags must list at least one lag order")
     explicit = args.stats != "default"
@@ -229,6 +233,11 @@ def _cmd_test(args) -> int:
     except PortmanteauError as exc:
         _log(f"fit failed: {exc}")
         return 3
+    for m in lags:
+        try:
+            _check_order(fit.residuals.n, m)
+        except LagTooLarge as exc:
+            raise ConfigError(f"--lags: {exc}") from None
     sigma2 = None if fit.conditional_sd is None else fit.conditional_sd**2
     if sigma2 is None:
         if explicit and any(n in ("Lb", "Lbw") for n in names):

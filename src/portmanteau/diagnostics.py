@@ -43,7 +43,7 @@ from scipy.linalg import solve_discrete_lyapunov
 from scipy.signal import lfilter
 from scipy.special import chdtrc, gammaincc
 
-from .corrmat import build_block, build_toeplitz, logdet_pd
+from .corrmat import _check_order, build_block, build_toeplitz, logdet_pd
 from .errors import (
     DegenerateSample,
     DegenerateVariance,
@@ -312,8 +312,12 @@ def _evaluate(name: str, row: _Row, read, n: int, m: int, order_correction: int)
 def _table_test(
     name: str, series: ResidualSeries | LagCorrelations, m: int, order_correction: int, row: _Row | None = None
 ) -> TestReport:
-    """Statistic ``name`` (its table row unless ``row`` is given) on a series or its kernel."""
+    """Statistic ``name`` (its table row unless ``row`` is given) on a series or its kernel.
+
+    Every row needs 1 <= m < n/2, the rule the Toeplitz and block builders apply.
+    """
     row = _TABLE[name] if row is None else row
+    _check_order(series.n, m)
     corr = lag_correlations(series, m)
     return _evaluate(name, row, lambda: _read(row, corr, m), corr.n, m, order_correction)
 

@@ -4,12 +4,17 @@ Every simulator is a pure function of (spec, n, seed): the same inputs produce
 bitwise-identical output regardless of where or how often they run. Burn-in
 samples are generated and discarded so the retained path is effectively
 stationary.
+
+Each model class draws its innovations and runs its own recursion in
+``_path``, and ``_MODEL_TAGS`` names it in configs. The JSON codec
+(``_to_dict``/``_from_dict``) reads and writes every spec from its dataclass
+fields, so a new model family is one class plus one tag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -34,22 +39,25 @@ class Innovation:
     df: float = 5.0
     slant: float = 1.5
 
+    def validate(self) -> None:
+        if self.law not in ("normal", "student_t", "skew_normal"):
+            raise InvalidSpec(f"unknown innovation law {self.law!r}")
+        if self.law == "student_t" and self.df <= 2:
+            raise InvalidSpec("student_t innovations need df > 2 for unit variance")
+
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        self.validate()
         if self.law == "normal":
             return rng.standard_normal(size)
         if self.law == "student_t":
-            if self.df <= 2:
-                raise InvalidSpec("student_t innovations need df > 2 for unit variance")
             return rng.standard_t(self.df, size) * np.sqrt((self.df - 2.0) / self.df)
-        if self.law == "skew_normal":
-            delta = self.slant / np.sqrt(1.0 + self.slant**2)
-            u0 = rng.standard_normal(size)
-            u1 = rng.standard_normal(size)
-            z = delta * np.abs(u0) + np.sqrt(1.0 - delta * delta) * u1
-            mean = delta * np.sqrt(2.0 / np.pi)
-            sd = np.sqrt(1.0 - 2.0 * delta * delta / np.pi)
-            return (z - mean) / sd
-        raise InvalidSpec(f"unknown innovation law {self.law!r}")
+        delta = self.slant / np.sqrt(1.0 + self.slant**2)
+        u0 = rng.standard_normal(size)
+        u1 = rng.standard_normal(size)
+        z = delta * np.abs(u0) + np.sqrt(1.0 - delta * delta) * u1
+        mean = delta * np.sqrt(2.0 / np.pi)
+        sd = np.sqrt(1.0 - 2.0 * delta * delta / np.pi)
+        return (z - mean) / sd
 
 
 def _check_roots(coeffs, error: type[Exception], label: str) -> None:
@@ -89,6 +97,14 @@ class Arma:
                 if np.any(np.abs(ma_roots - r) < 1e-8):
                     raise InvalidSpec("autoregressive and moving-average polynomials share a root")
 
+    def _filter(self, eps: np.ndarray) -> np.ndarray:
+        b = np.concatenate(([1.0], np.asarray(self.theta, dtype=float)))
+        a = np.concatenate(([1.0], -np.asarray(self.phi, dtype=float)))
+        return self.mu + lfilter(b, a, eps)
+
+    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
+        return self._filter(innovation.draw(rng, total))
+
 
 @dataclass(frozen=True)
 class Garch:
@@ -118,15 +134,48 @@ class Garch:
     def unconditional_variance(self) -> float:
         return self.omega / (1.0 - sum(self.alpha) - sum(self.beta))
 
+    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
+        xi = innovation.draw(rng, total)
+        b, a = self.b, self.a
+        alpha = np.asarray(self.alpha, dtype=float)
+        beta = np.asarray(self.beta, dtype=float)
+        v0 = self.unconditional_variance
+        # Lag histories, newest first, shifted in place. The dot products stay
+        # ndarray ones: BLAS may fuse the multiply-add, and a plain-float sum
+        # would round differently and change seeded paths.
+        eps2 = np.full(b, v0)
+        sig2_hist = np.full(a, v0)
+        eps = np.empty(xi.size)
+        for t, x in enumerate(xi.tolist()):
+            s2 = self.omega
+            if b:
+                s2 += float(alpha @ eps2)
+            if a:
+                s2 += float(beta @ sig2_hist)
+            e = math.sqrt(s2) * x
+            eps[t] = e
+            if b:
+                eps2[1:] = eps2[:-1]
+                eps2[0] = e * e
+            if a:
+                sig2_hist[1:] = sig2_hist[:-1]
+                sig2_hist[0] = s2
+        return eps
+
 
 @dataclass(frozen=True)
 class ArmaGarch:
+    """An ARMA mean equation driven by GARCH errors."""
+
     arma: Arma = field(default_factory=Arma)
     garch: Garch = field(default_factory=Garch)
 
     def validate(self) -> None:
         self.arma.validate()
         self.garch.validate()
+
+    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
+        return self.arma._filter(self.garch._path(innovation, rng, total))
 
 
 @dataclass(frozen=True)
@@ -143,6 +192,18 @@ class Tar:
     def validate(self) -> None:
         pass
 
+    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
+        eps = innovation.draw(rng, total)
+        z = np.empty(total)
+        prev = 0.0
+        for t in range(total):
+            if prev <= self.c:
+                prev = self.phi0_lower + self.phi1_lower * prev + eps[t]
+            else:
+                prev = self.phi0_upper + self.phi1_upper * prev + eps[t]
+            z[t] = prev
+        return z
+
 
 @dataclass(frozen=True)
 class Star:
@@ -155,6 +216,16 @@ class Star:
     def validate(self) -> None:
         pass
 
+    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
+        eps = innovation.draw(rng, total)
+        z = np.empty(total)
+        prev = 0.0
+        for t in range(total):
+            f = 1.0 / (1.0 + np.exp(-prev))
+            prev = self.lower_coeff * prev * (1.0 - f) + self.upper_coeff * prev * f + eps[t]
+            z[t] = prev
+        return z
+
 
 @dataclass(frozen=True)
 class Sqar:
@@ -165,6 +236,12 @@ class Sqar:
     def validate(self) -> None:
         if abs(self.latent_phi) >= 1.0:
             raise InvalidSpec("latent autoregressive coefficient must be inside the unit circle")
+
+    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
+        eps = innovation.draw(rng, total)
+        nu = innovation.draw(rng, total)
+        y = lfilter([1.0], [1.0, -self.latent_phi], nu)
+        return y * y + eps
 
 
 @dataclass(frozen=True)
@@ -177,6 +254,30 @@ class Bilinear:
         if self.model_id not in range(1, 9):
             raise InvalidSpec(f"bilinear model_id must be in 1..8, got {self.model_id}")
 
+    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
+        e = innovation.draw(rng, total)
+        z = np.zeros(total)
+        model_id = self.model_id
+        if model_id == 1:
+            z[2:] = e[2:] - 0.4 * e[1:-1] + 0.3 * e[:-2] + 0.5 * e[2:] * e[:-2]
+        elif model_id == 2:
+            z[2:] = e[2:] - 0.3 * e[1:-1] + 0.2 * e[:-2] + 0.4 * e[2:] * e[:-2] - 0.25 * e[:-2] ** 2
+        elif model_id == 3:
+            for t in range(2, total):
+                z[t] = 0.4 * z[t - 1] - 0.3 * z[t - 2] + 0.5 * z[t - 1] * e[t - 1] + e[t]
+        elif model_id in (4, 5):
+            # (.8 + .5 z_{t-1}) e_{t-1} + e_t expands to the model-4 recursion.
+            for t in range(2, total):
+                z[t] = 0.4 * z[t - 1] - 0.3 * z[t - 2] + 0.5 * z[t - 1] * e[t - 1] + 0.8 * e[t - 1] + e[t]
+        elif model_id == 6:
+            for t in range(1, total):
+                z[t] = 0.5 - (0.4 - 0.4 * e[t - 1]) * z[t - 1] + e[t]
+        elif model_id == 7:
+            z[2:] = 0.8 * e[:-2] ** 2 + e[2:]
+        else:  # 8; validate() admits 1..8 only
+            z[2:] = e[2:] + 0.3 * e[1:-1] + (0.2 + 0.4 * e[1:-1] - 0.25 * e[:-2]) * e[:-2]
+        return z
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -188,98 +289,9 @@ class ModelSpec:
 
     def validate(self) -> None:
         self.model.validate()
+        self.innovation.validate()
         if self.burn_in < 0:
             raise InvalidSpec("burn_in must be non-negative")
-
-
-def _simulate_arma(model: Arma, eps: np.ndarray) -> np.ndarray:
-    b = np.concatenate(([1.0], np.asarray(model.theta, dtype=float)))
-    a = np.concatenate(([1.0], -np.asarray(model.phi, dtype=float)))
-    return model.mu + lfilter(b, a, eps)
-
-
-def _simulate_garch(model: Garch, xi: np.ndarray) -> np.ndarray:
-    b, a = model.b, model.a
-    alpha = np.asarray(model.alpha, dtype=float)
-    beta = np.asarray(model.beta, dtype=float)
-    v0 = model.unconditional_variance
-    # Lag histories, newest first, shifted in place. The dot products stay
-    # ndarray ones: BLAS may fuse the multiply-add, and a plain-float sum
-    # would round differently and change seeded paths.
-    eps2 = np.full(b, v0)
-    sig2_hist = np.full(a, v0)
-    eps = np.empty(xi.size)
-    for t, x in enumerate(xi.tolist()):
-        s2 = model.omega
-        if b:
-            s2 += float(alpha @ eps2)
-        if a:
-            s2 += float(beta @ sig2_hist)
-        e = math.sqrt(s2) * x
-        eps[t] = e
-        if b:
-            eps2[1:] = eps2[:-1]
-            eps2[0] = e * e
-        if a:
-            sig2_hist[1:] = sig2_hist[:-1]
-            sig2_hist[0] = s2
-    return eps
-
-
-def _simulate_tar(model: Tar, eps: np.ndarray) -> np.ndarray:
-    total = eps.size
-    z = np.empty(total)
-    prev = 0.0
-    for t in range(total):
-        if prev <= model.c:
-            prev = model.phi0_lower + model.phi1_lower * prev + eps[t]
-        else:
-            prev = model.phi0_upper + model.phi1_upper * prev + eps[t]
-        z[t] = prev
-    return z
-
-
-def _simulate_star(model: Star, eps: np.ndarray) -> np.ndarray:
-    total = eps.size
-    z = np.empty(total)
-    prev = 0.0
-    for t in range(total):
-        f = 1.0 / (1.0 + np.exp(-prev))
-        prev = model.lower_coeff * prev * (1.0 - f) + model.upper_coeff * prev * f + eps[t]
-        z[t] = prev
-    return z
-
-
-def _simulate_sqar(model: Sqar, eps: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    y = lfilter([1.0], [1.0, -model.latent_phi], nu)
-    return y * y + eps
-
-
-def _simulate_bilinear(model_id: int, eps: np.ndarray) -> np.ndarray:
-    e = eps
-    total = e.size
-    z = np.zeros(total)
-    if model_id == 1:
-        z[2:] = e[2:] - 0.4 * e[1:-1] + 0.3 * e[:-2] + 0.5 * e[2:] * e[:-2]
-    elif model_id == 2:
-        z[2:] = e[2:] - 0.3 * e[1:-1] + 0.2 * e[:-2] + 0.4 * e[2:] * e[:-2] - 0.25 * e[:-2] ** 2
-    elif model_id == 3:
-        for t in range(2, total):
-            z[t] = 0.4 * z[t - 1] - 0.3 * z[t - 2] + 0.5 * z[t - 1] * e[t - 1] + e[t]
-    elif model_id in (4, 5):
-        # (.8 + .5 z_{t-1}) e_{t-1} + e_t expands to the model-4 recursion.
-        for t in range(2, total):
-            z[t] = 0.4 * z[t - 1] - 0.3 * z[t - 2] + 0.5 * z[t - 1] * e[t - 1] + 0.8 * e[t - 1] + e[t]
-    elif model_id == 6:
-        for t in range(1, total):
-            z[t] = 0.5 - (0.4 - 0.4 * e[t - 1]) * z[t - 1] + e[t]
-    elif model_id == 7:
-        z[2:] = 0.8 * e[:-2] ** 2 + e[2:]
-    elif model_id == 8:
-        z[2:] = e[2:] + 0.3 * e[1:-1] + (0.2 + 0.4 * e[1:-1] - 0.25 * e[:-2]) * e[:-2]
-    else:
-        raise InvalidSpec(f"bilinear model_id must be in 1..8, got {model_id}")
-    return z
 
 
 def simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
@@ -292,33 +304,15 @@ def simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
 def _simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
     """:func:`simulate` for a spec that has already been validated.
 
-    Raises :class:`NonFinite` when the path overflows; the recursion runs with
-    numpy's overflow warnings off, so that error is what reports it.
+    Each model draws its innovations from ``rng`` and runs its own recursion
+    in ``_path``. Raises :class:`NonFinite` when the path overflows; the
+    recursion runs with numpy's overflow warnings off, so that error is what
+    reports it.
     """
     if n < _MIN_LENGTH:
         raise InvalidSpec(f"need n >= {_MIN_LENGTH}, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1)))
-    total = spec.burn_in + n
-    model = spec.model
-    if isinstance(model, Arma):
-        z = _simulate_arma(model, spec.innovation.draw(rng, total))
-    elif isinstance(model, Garch):
-        z = _simulate_garch(model, spec.innovation.draw(rng, total))
-    elif isinstance(model, ArmaGarch):
-        eps = _simulate_garch(model.garch, spec.innovation.draw(rng, total))
-        z = _simulate_arma(model.arma, eps)
-    elif isinstance(model, Tar):
-        z = _simulate_tar(model, spec.innovation.draw(rng, total))
-    elif isinstance(model, Star):
-        z = _simulate_star(model, spec.innovation.draw(rng, total))
-    elif isinstance(model, Sqar):
-        eps = spec.innovation.draw(rng, total)
-        nu = spec.innovation.draw(rng, total)
-        z = _simulate_sqar(model, eps, nu)
-    elif isinstance(model, Bilinear):
-        z = _simulate_bilinear(model.model_id, spec.innovation.draw(rng, total))
-    else:
-        raise InvalidSpec(f"unknown model type {type(model).__name__}")
+    z = spec.model._path(spec.innovation, rng, spec.burn_in + n)
     out = z[spec.burn_in :]
     if not np.all(np.isfinite(out)):
         raise NonFinite("simulated path overflowed; check the model parameters")
@@ -338,125 +332,78 @@ _MODEL_TAGS = {
     "sqar": Sqar,
     "bilinear": Bilinear,
 }
+_TAG_OF = {cls: tag for tag, cls in _MODEL_TAGS.items()}
 
 
-def _model_to_dict(model) -> dict:
-    if isinstance(model, Arma):
-        return {"kind": "arma", "phi": list(model.phi), "theta": list(model.theta), "mu": model.mu}
-    if isinstance(model, Garch):
-        return {
-            "kind": "garch",
-            "omega": model.omega,
-            "alpha": list(model.alpha),
-            "beta": list(model.beta),
-        }
-    if isinstance(model, ArmaGarch):
-        return {
-            "kind": "arma_garch",
-            "arma": _model_to_dict(model.arma),
-            "garch": _model_to_dict(model.garch),
-        }
-    if isinstance(model, Tar):
-        return {
-            "kind": "tar",
-            "phi0_lower": model.phi0_lower,
-            "phi1_lower": model.phi1_lower,
-            "phi0_upper": model.phi0_upper,
-            "phi1_upper": model.phi1_upper,
-            "c": model.c,
-        }
-    if isinstance(model, Star):
-        return {
-            "kind": "star",
-            "lower_coeff": model.lower_coeff,
-            "upper_coeff": model.upper_coeff,
-        }
-    if isinstance(model, Sqar):
-        return {"kind": "sqar", "latent_phi": model.latent_phi}
-    if isinstance(model, Bilinear):
-        return {"kind": "bilinear", "model_id": model.model_id}
-    raise InvalidSpec(f"unknown model type {type(model).__name__}")
+def _to_dict(obj) -> dict:
+    """A config dataclass as a JSON-ready dict, in field order.
+
+    A model's ``kind`` tag comes first; tuples become lists and nested
+    dataclasses become dicts.
+    """
+    out = {"kind": _TAG_OF[type(obj)]} if type(obj) in _TAG_OF else {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
+
+
+def _from_dict(cls, d, context: str):
+    """The inverse of :func:`_to_dict`: build ``cls`` from the config dict ``d``.
+
+    Unknown keys are rejected and a missing key takes the field's default, so
+    the config shares its defaults with the constructor. A present value is
+    converted to the type of the field's default: a tuple element by element to
+    float, a nested dataclass from its own dict. A field without a default holds
+    a model of any kind; a model's ``kind`` tag picks its class, which must be
+    ``cls`` when ``cls`` is a model class. A value that does not convert raises
+    :class:`ConfigError`.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{context} must be an object")
+    if cls is object or cls in _TAG_OF:
+        kind = d.get("kind")
+        if not isinstance(kind, str) or kind not in _MODEL_TAGS:
+            raise ConfigError(f"{context} needs a 'kind' field naming a model, got {kind!r}")
+        if cls is not object and _MODEL_TAGS[kind] is not cls:
+            raise ConfigError(f"{context} must be of kind {_TAG_OF[cls]!r}, got {kind!r}")
+        cls, context = _MODEL_TAGS[kind], f"{kind} model"
+        d = {key: value for key, value in d.items() if key != "kind"}
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
+    values = {}
+    for f in fields(cls):
+        default = f.default_factory() if f.default_factory is not MISSING else f.default
+        if f.name not in d:
+            if default is MISSING:
+                raise ConfigError(f"{context} requires {f.name!r}")
+            continue
+        value, where = d[f.name], f"{context} field {f.name!r}"
+        if default is MISSING or is_dataclass(default):
+            values[f.name] = _from_dict(object if default is MISSING else type(default), value, where)
+            continue
+        try:
+            if isinstance(default, tuple):
+                if not isinstance(value, (list, tuple)):
+                    raise TypeError(f"expected a list, got {type(value).__name__}")
+                values[f.name] = tuple(float(x) for x in value)
+            else:
+                values[f.name] = type(default)(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return cls(**values)
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
-    out = _model_to_dict(spec.model)
-    return {
-        "model": out,
-        "innovation": {
-            "law": spec.innovation.law,
-            "df": spec.innovation.df,
-            "slant": spec.innovation.slant,
-        },
-        "burn_in": spec.burn_in,
-    }
-
-
-def _require_keys(d: dict, allowed: set, context: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
-
-
-def _model_from_dict(d: dict):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("model description must be an object with a 'kind' field")
-    kind = d["kind"]
-    if kind == "arma":
-        _require_keys(d, {"kind", "phi", "theta", "mu"}, "arma model")
-        return Arma(
-            phi=tuple(d.get("phi", ())), theta=tuple(d.get("theta", ())), mu=float(d.get("mu", 0.0))
-        )
-    if kind == "garch":
-        _require_keys(d, {"kind", "omega", "alpha", "beta"}, "garch model")
-        return Garch(
-            omega=float(d.get("omega", 1.0)),
-            alpha=tuple(d.get("alpha", ())),
-            beta=tuple(d.get("beta", ())),
-        )
-    if kind == "arma_garch":
-        _require_keys(d, {"kind", "arma", "garch"}, "arma_garch model")
-        return ArmaGarch(arma=_model_from_dict(d["arma"]), garch=_model_from_dict(d["garch"]))
-    if kind == "tar":
-        _require_keys(d, {"kind", "phi0_lower", "phi1_lower", "phi0_upper", "phi1_upper", "c"}, "tar model")
-        return Tar(
-            phi0_lower=float(d.get("phi0_lower", 0.0)),
-            phi1_lower=float(d.get("phi1_lower", 0.0)),
-            phi0_upper=float(d.get("phi0_upper", 0.0)),
-            phi1_upper=float(d.get("phi1_upper", 0.0)),
-            c=float(d.get("c", 0.0)),
-        )
-    if kind == "star":
-        _require_keys(d, {"kind", "lower_coeff", "upper_coeff"}, "star model")
-        return Star(
-            lower_coeff=float(d.get("lower_coeff", 0.0)),
-            upper_coeff=float(d.get("upper_coeff", 0.0)),
-        )
-    if kind == "sqar":
-        _require_keys(d, {"kind", "latent_phi"}, "sqar model")
-        return Sqar(latent_phi=float(d.get("latent_phi", 0.6)))
-    if kind == "bilinear":
-        _require_keys(d, {"kind", "model_id"}, "bilinear model")
-        return Bilinear(model_id=int(d.get("model_id", 1)))
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return _to_dict(spec)
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
-    _require_keys(d, {"model", "innovation", "burn_in"}, "model spec")
-    if "model" not in d:
-        raise ConfigError("model spec requires a 'model' object")
-    innovation = Innovation()
-    if "innovation" in d:
-        inno = d["innovation"]
-        _require_keys(inno, {"law", "df", "slant"}, "innovation")
-        innovation = Innovation(
-            law=inno.get("law", "normal"),
-            df=float(inno.get("df", 5.0)),
-            slant=float(inno.get("slant", 1.5)),
-        )
-    spec = ModelSpec(
-        model=_model_from_dict(d["model"]),
-        innovation=innovation,
-        burn_in=int(d.get("burn_in", DEFAULT_BURN_IN)),
-    )
+    spec = _from_dict(ModelSpec, d, "model spec")
     spec.validate()
     return spec

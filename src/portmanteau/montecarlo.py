@@ -13,7 +13,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .fitting import (
     fit_garch_qmle,
     select_ar_order_aic,
 )
-from .models import _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _simulate, spec_from_dict, spec_to_dict
+from .models import _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _from_dict, _simulate, _to_dict, spec_from_dict
 from .residuals import LagCorrelations, make_residual_series
 
 CONFIG_SCHEMA_VERSION = 1
@@ -62,8 +62,15 @@ class FitterSpec:
     intercept: bool = True
 
     def validate(self) -> None:
+        """Reject a fitter that would fail every replicate; the fitters keep their own checks."""
         if self.kind not in ("none", "true", "ar", "arma", "ar_aic", "garch", "ar_garch"):
             raise InvalidSpec(f"unknown fitter kind {self.kind!r}")
+        if min(self.p, self.q, self.b, self.a) < 0:
+            raise InvalidSpec("fitter orders p, q, b and a must be non-negative")
+        if self.kind in ("garch", "ar_garch") and self.b + self.a == 0:
+            raise InvalidSpec(f"a {self.kind} fit needs b + a >= 1")
+        if self.kind == "ar_aic" and self.p_max < 1:
+            raise InvalidSpec("an ar_aic fit needs p_max >= 1")
 
     def resolve(self, generator: ModelSpec | None) -> FitterSpec:
         """The concrete fitter: "true" becomes the generator's own family and orders."""
@@ -71,11 +78,7 @@ class FitterSpec:
             return self
         if generator is None:
             raise InvalidSpec("true-model fitting needs the generator spec")
-        resolved = _true_fitter_for(generator)
-        return FitterSpec(
-            kind=resolved.kind, p=resolved.p, q=resolved.q, p_max=resolved.p_max,
-            b=resolved.b, a=resolved.a, intercept=self.intercept,
-        )
+        return replace(_true_fitter_for(generator), intercept=self.intercept)
 
     def lost_rows(self, generator: ModelSpec | None) -> int:
         """Rows the fit drops from the front of the series (the most it can drop, for ar_aic)."""
@@ -102,7 +105,7 @@ class Experiment:
 
     def validate(self) -> None:
         self.generator.validate()
-        self.fitter.validate()
+        self.fitter.resolve(self.generator).validate()
         if self.replications < 1:
             raise InvalidSpec("need at least one replication")
         if not self.n_list or not self.m_list or not self.levels or not self.statistics:
@@ -368,7 +371,6 @@ _EXPERIMENT_KEYS = {
     "statistics",
     "master_seed",
 }
-_FITTER_KEYS = {"kind", "p", "q", "p_max", "b", "a", "intercept"}
 
 
 def experiment_from_dict(d: dict) -> Experiment:
@@ -382,29 +384,21 @@ def experiment_from_dict(d: dict) -> Experiment:
     for key in ("generator", "fitter", "n", "m", "replications", "statistics"):
         if key not in d:
             raise ConfigError(f"experiment config is missing {key!r}")
-    fd = d["fitter"]
-    unknown = set(fd) - _FITTER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in fitter")
-    fitter = FitterSpec(
-        kind=fd.get("kind", "true"),
-        p=int(fd.get("p", 1)),
-        q=int(fd.get("q", 0)),
-        p_max=int(fd.get("p_max", 4)),
-        b=int(fd.get("b", 1)),
-        a=int(fd.get("a", 0)),
-        intercept=bool(fd.get("intercept", True)),
-    )
-    exp = Experiment(
-        generator=spec_from_dict(d["generator"]),
-        fitter=fitter,
-        n_list=tuple(int(n) for n in d["n"]),
-        m_list=tuple(int(m) for m in d["m"]),
-        levels=tuple(float(x) for x in d.get("levels", (0.01, 0.05, 0.10))),
-        replications=int(d["replications"]),
-        statistics=tuple(d["statistics"]),
-        master_seed=int(d.get("master_seed", 0)),
-    )
+    generator = spec_from_dict(d["generator"])
+    fitter = _from_dict(FitterSpec, d["fitter"], "fitter")
+    try:
+        exp = Experiment(
+            generator=generator,
+            fitter=fitter,
+            n_list=tuple(int(n) for n in d["n"]),
+            m_list=tuple(int(m) for m in d["m"]),
+            levels=tuple(float(x) for x in d.get("levels", (0.01, 0.05, 0.10))),
+            replications=int(d["replications"]),
+            statistics=tuple(d["statistics"]),
+            master_seed=int(d.get("master_seed", Experiment.master_seed)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed experiment config: {exc}") from None
     exp.validate()
     return exp
 
@@ -412,16 +406,8 @@ def experiment_from_dict(d: dict) -> Experiment:
 def experiment_to_dict(exp: Experiment) -> dict:
     return {
         "schema": CONFIG_SCHEMA_VERSION,
-        "generator": spec_to_dict(exp.generator),
-        "fitter": {
-            "kind": exp.fitter.kind,
-            "p": exp.fitter.p,
-            "q": exp.fitter.q,
-            "p_max": exp.fitter.p_max,
-            "b": exp.fitter.b,
-            "a": exp.fitter.a,
-            "intercept": exp.fitter.intercept,
-        },
+        "generator": _to_dict(exp.generator),
+        "fitter": _to_dict(exp.fitter),
         "n": list(exp.n_list),
         "m": list(exp.m_list),
         "levels": list(exp.levels),

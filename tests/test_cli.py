@@ -220,6 +220,24 @@ class TestTestCommand:
         both, five, ten = outputs
         assert both == five + ten[1:]
 
+    def test_lags_checked_against_residual_length(self, tmp_path, capsys):
+        # an AR(1) fit of 200 values leaves 199 residuals, so m must stay below 99.5
+        data = self._simulate_to(tmp_path, capsys, n=200)
+        code, out, _ = _run(["test", data, "--fit", "ar:1", "--lags", "99", "--stats", "Q11,Q12,M11"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        for lags in ("150", "100", "5,100", "0", "-1"):
+            code, out, err = _run(["test", data, "--fit", "ar:1", "--lags", lags, "--stats", "Q11,Q12,M11"], capsys)
+            assert code == 2, lags
+            assert out == ""
+            assert "1 <= m < n/2" in err
+
+    def test_non_integer_lags_exit_2(self, tmp_path, capsys):
+        data = self._simulate_to(tmp_path, capsys)
+        code, _, err = _run(["test", data, "--lags", "5,x"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_li_mak_without_variance_fit_rejected(self, tmp_path, capsys):
         data = self._simulate_to(tmp_path, capsys)
         code, _, _ = _run(["test", data, "--fit", "ar:1", "--stats", "Lb", "--lags", "5"], capsys)
@@ -278,6 +296,77 @@ class TestMcCommand:
         code, _, err = _run(["mc", "--config", cfg, "--out", str(tmp_path / "x")], capsys)
         assert code == 2
         assert "residual" in err
+        assert "running" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+
+_GARCH = {"kind": "garch", "omega": 0.2, "alpha": [0.2], "beta": []}
+
+
+def _experiment(fitter=None, generator=None, **overrides):
+    config = {
+        "schema": 1,
+        "generator": generator or {"model": {"kind": "arma", "phi": [0.1]}},
+        "fitter": fitter or {"kind": "ar", "p": 1},
+        "n": [100],
+        "m": [5],
+        "replications": 5,
+        "statistics": ["Cm"],
+    }
+    config.update(overrides)
+    return json.dumps(config)
+
+
+MALFORMED_MODELS = {
+    "arma_garch_arma_is_garch": {"model": {"kind": "arma_garch", "arma": _GARCH, "garch": _GARCH}},
+    "string_float": {"model": {"kind": "tar", "c": "abc"}},
+    "string_in_tuple": {"model": {"kind": "arma", "phi": ["x"]}},
+    "scalar_tuple": {"model": {"kind": "arma", "phi": 0.5}},
+    "model_not_an_object": {"model": "arma"},
+    "innovation_not_an_object": {"model": {"kind": "arma"}, "innovation": "normal"},
+    "unknown_law": {"model": {"kind": "arma"}, "innovation": {"law": "cauchy"}},
+    "student_t_df_2": {"model": {"kind": "arma"}, "innovation": {"law": "student_t", "df": 2}},
+}
+
+MALFORMED_EXPERIMENTS = {
+    "scalar_n": _experiment(n=100),
+    "string_replications": _experiment(replications="many"),
+    "string_fitter_order": _experiment(fitter={"kind": "ar", "p": "x"}),
+    "fitter_not_an_object": _experiment(fitter="ar"),
+    "unknown_law": _experiment(
+        generator={"model": {"kind": "arma"}, "innovation": {"law": "cauchy"}}, fitter={"kind": "none"}
+    ),
+    "garch_fit_no_orders": _experiment(fitter={"kind": "garch", "b": 0, "a": 0}),
+    "ar_garch_fit_no_orders": _experiment(fitter={"kind": "ar_garch", "b": 0, "a": 0}),
+    "negative_ar_order": _experiment(fitter={"kind": "ar", "p": -1}),
+    "negative_arch_order": _experiment(fitter={"kind": "garch", "b": -1, "a": 2}),
+    "ar_aic_no_orders": _experiment(fitter={"kind": "ar_aic", "p_max": 0}),
+    "true_fit_of_garch_without_orders": _experiment(
+        generator={"model": {"kind": "garch"}}, fitter={"kind": "true"}
+    ),
+}
+
+
+class TestMalformedConfigs:
+    """A config that cannot run exits 2 with one error line and no traceback, before any replicate."""
+
+    def _check(self, argv, capsys):
+        code, _, err = _run(argv, capsys)
+        assert code == 2
+        assert err.count("error:") == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("spec", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+    def test_simulate(self, spec, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        self._check(["simulate", "--model", json.dumps(spec), "--n", "50", "--out", str(out)], capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", MALFORMED_EXPERIMENTS.values(), ids=MALFORMED_EXPERIMENTS)
+    def test_mc(self, config, tmp_path, capsys):
+        err = self._check(["mc", "--config", config, "--workers", "1", "--out", str(tmp_path / "x")], capsys)
         assert "running" not in err
         assert not (tmp_path / "x.csv").exists()
 

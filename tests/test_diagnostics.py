@@ -32,7 +32,7 @@ from portmanteau import (
     weighted_m,
     weighted_q,
 )
-from portmanteau.errors import InvalidOrder, InvalidSpec, NonPositiveDf, NonStationary, NonInvertible
+from portmanteau.errors import InvalidOrder, InvalidSpec, LagTooLarge, NonPositiveDf, NonStationary, NonInvertible
 from portmanteau.residuals import CorrSequence
 
 
@@ -411,3 +411,22 @@ class TestEvaluateStatistics:
                 hits[name] += out[name].p_value < 0.05
         for name, h in hits.items():
             assert h / reps < 0.12, name
+
+
+class TestLagOrderRule:
+    """Every table row applies the 1 <= m < n/2 rule of the Toeplitz and block builders."""
+
+    @pytest.mark.parametrize("name", [n for n in ALL_STATISTICS if n not in ("Lb", "Lbw")])
+    def test_every_row_rejects_m_at_half_n(self, name):
+        series = make_residual_series(np.random.default_rng(3).standard_normal(199))
+        evaluate_statistics([name], series, 99)
+        with pytest.raises(LagTooLarge):
+            evaluate_statistics([name], series, 100)
+        with pytest.raises(LagTooLarge):
+            evaluate_statistics([name], series, 0)
+
+    def test_public_functions_share_the_rule(self):
+        series = make_residual_series(np.random.default_rng(4).standard_normal(60))
+        for test in (weighted_q, monti, weighted_m):
+            with pytest.raises(LagTooLarge):
+                test(series, 30)

@@ -253,3 +253,57 @@ class TestSerialization:
     def test_invalid_spec_rejected_at_parse(self):
         with pytest.raises(InvalidSpec):
             spec_from_dict({"model": {"kind": "garch", "omega": -1.0, "alpha": [0.1], "beta": []}})
+
+    def test_arma_garch_without_arma_takes_the_constructor_default(self):
+        garch = {"kind": "garch", "omega": 0.2, "alpha": [0.3], "beta": []}
+        spec = spec_from_dict({"model": {"kind": "arma_garch", "garch": garch}})
+        assert spec == ModelSpec(model=ArmaGarch(garch=Garch(omega=0.2, alpha=(0.3,))))
+        assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    def test_missing_keys_take_the_constructor_defaults(self):
+        defaults = {"arma": Arma(), "garch": Garch(), "tar": Tar(), "sqar": Sqar(), "bilinear": Bilinear()}
+        for kind, model in defaults.items():
+            assert spec_from_dict({"model": {"kind": kind}}) == ModelSpec(model=model)
+
+    def test_nested_model_must_have_its_fields_kind(self):
+        garch = {"kind": "garch", "omega": 0.2, "alpha": [0.3], "beta": []}
+        with pytest.raises(ConfigError, match="'arma'"):
+            spec_from_dict({"model": {"kind": "arma_garch", "arma": garch, "garch": garch}})
+        with pytest.raises(ConfigError):
+            spec_from_dict({"model": {"kind": "arma_garch", "arma": {"phi": [0.1]}}})
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"kind": "tar", "c": "abc"},
+            {"kind": "arma", "phi": ["x"]},
+            {"kind": "arma", "phi": 0.5},
+            {"kind": "arma", "phi": "0.5"},
+            {"kind": "bilinear", "model_id": [1]},
+            {"kind": "garch", "omega": None},
+        ],
+    )
+    def test_malformed_values_are_config_errors(self, model):
+        with pytest.raises(ConfigError):
+            spec_from_dict({"model": model})
+        with pytest.raises(ConfigError):
+            spec_from_dict({"model": {"kind": "arma"}, "burn_in": "long"})
+
+    def test_coefficients_read_as_floats(self):
+        spec = spec_from_dict({"model": {"kind": "arma", "phi": [0], "mu": 2}})
+        assert spec.model.phi == (0.0,) and type(spec.model.phi[0]) is float
+        assert type(spec.model.mu) is float
+
+    def test_innovation_law_checked_by_spec_validation(self):
+        # the law is checked before any path is drawn, by the same rule draw() applies
+        for innovation in (Innovation("cauchy"), Innovation("student_t", df=2.0)):
+            with pytest.raises(InvalidSpec):
+                ModelSpec(model=Arma(), innovation=innovation).validate()
+            with pytest.raises(InvalidSpec):
+                spec_from_dict({"model": {"kind": "arma"}, "innovation": {"law": innovation.law, "df": innovation.df}})
+        ModelSpec(model=Arma(), innovation=Innovation("student_t", df=2.5)).validate()
+
+    @pytest.mark.parametrize("kind", [None, ["arma"], 1])
+    def test_kind_must_name_a_model(self, kind):
+        with pytest.raises(ConfigError):
+            spec_from_dict({"model": {"kind": kind}})

@@ -195,6 +195,38 @@ class TestValidation:
             _small_experiment(fitter=FitterSpec(kind="ols")).validate()
 
 
+    @pytest.mark.parametrize(
+        "fitter",
+        [
+            FitterSpec(kind="ar", p=-1),
+            FitterSpec(kind="arma", p=1, q=-1),
+            FitterSpec(kind="garch", b=0, a=0),
+            FitterSpec(kind="ar_garch", p=1, b=0, a=0),
+            FitterSpec(kind="garch", b=-1, a=2),
+            FitterSpec(kind="ar_aic", p_max=0),
+        ],
+    )
+    def test_fitter_that_fails_every_replicate(self, fitter):
+        with pytest.raises(InvalidSpec):
+            fitter.validate()
+        with pytest.raises(InvalidSpec):
+            _small_experiment(fitter=fitter).validate()
+
+    def test_fitter_orders_accepted(self):
+        FitterSpec(kind="ar", p=0).validate()
+        FitterSpec(kind="garch", b=0, a=1).validate()
+        FitterSpec(kind="ar_aic", p_max=1).validate()
+
+    def test_true_fitter_resolved_before_validation(self):
+        with pytest.raises(InvalidSpec):
+            _small_experiment(generator=ModelSpec(model=Garch()), fitter=FitterSpec(kind="true")).validate()
+
+    def test_resolve_keeps_intercept(self):
+        generator = ModelSpec(model=Arma(phi=(0.3, 0.1)))
+        resolved = FitterSpec(kind="true", intercept=False).resolve(generator)
+        assert resolved == FitterSpec(kind="ar", p=2, intercept=False)
+
+
 class TestTableSerialization:
     def test_csv_round_trip(self, tmp_path):
         exp = _small_experiment(replications=40)
@@ -254,5 +286,35 @@ class TestExperimentConfig:
     def test_missing_required_key(self):
         d = experiment_to_dict(_small_experiment())
         del d["replications"]
+        with pytest.raises(ConfigError):
+            experiment_from_dict(d)
+
+    def test_fitter_keys_optional_with_constructor_defaults(self):
+        d = experiment_to_dict(_small_experiment())
+        d["fitter"] = {"kind": "arma"}
+        assert experiment_from_dict(d).fitter == FitterSpec(kind="arma")
+        d["fitter"] = {}
+        assert experiment_from_dict(d).fitter == FitterSpec()
+
+    def test_written_keys_in_field_order(self):
+        d = experiment_to_dict(_small_experiment())
+        assert list(d["fitter"]) == ["kind", "p", "q", "p_max", "b", "a", "intercept"]
+        assert list(d["generator"]) == ["model", "innovation", "burn_in"]
+        assert list(d["generator"]["model"]) == ["kind", "phi", "theta", "mu"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", 100),
+            ("m", [4, "x"]),
+            ("levels", 0.05),
+            ("replications", "many"),
+            ("statistics", 3),
+            ("master_seed", [1]),
+        ],
+    )
+    def test_malformed_values_are_config_errors(self, key, value):
+        d = experiment_to_dict(_small_experiment())
+        d[key] = value
         with pytest.raises(ConfigError):
             experiment_from_dict(d)
