@@ -16,18 +16,12 @@ import sys
 
 import numpy as np
 
-from .diagnostics import ALL_STATISTICS, evaluate_statistics
 from .corrmat import _check_order
+from .diagnostics import ALL_STATISTICS
 from .errors import ConfigError, CsvFormatError, InvalidSpec, LagTooLarge, NonFinite, PortmanteauError
 from .fitting import FitResult
 from .models import simulate, spec_from_dict
-from .montecarlo import (
-    FitterSpec,
-    experiment_from_dict,
-    fit_series,
-    run_experiment,
-)
-from .residuals import LagCorrelations
+from .montecarlo import FitterSpec, check_nulls, evaluate_fit, experiment_from_dict, fit_series, run_experiment
 
 DEFAULT_TEST_STATS = ("Cm", "Q12", "Dt22", "Q22", "Qw22", "Mw22", "Lb", "Lbw")
 
@@ -238,24 +232,13 @@ def _cmd_test(args) -> int:
             _check_order(fit.residuals.n, m)
         except LagTooLarge as exc:
             raise ConfigError(f"--lags: {exc}") from None
-    sigma2 = None if fit.conditional_sd is None else fit.conditional_sd**2
-    if sigma2 is None:
+    if fit.conditional_sd is None:
         if explicit and any(n in ("Lb", "Lbw") for n in names):
             raise ConfigError("Lb/Lbw require a conditional-variance fit (arch or garch)")
         names = [n for n in names if n not in ("Lb", "Lbw")]
+    check_nulls(names, lags, fit.order_correction, fit.garch_orders)
     rows = []
-    correlations = LagCorrelations(fit.residuals, max(lags))
-    for m in lags:
-        reports = evaluate_statistics(
-            names,
-            fit.residuals,
-            m,
-            order_correction=fit.order_correction,
-            garch_eps=fit.garch_eps,
-            garch_sigma2=sigma2,
-            garch_orders=fit.garch_orders,
-            correlations=correlations,
-        )
+    for m, reports in zip(lags, evaluate_fit(fit, names, lags)):
         for name in names:
             rep = reports[name]
             rows.append((name, m, rep.statistic, rep.p_value, rep.degenerate))

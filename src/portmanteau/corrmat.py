@@ -4,7 +4,9 @@ The single-kind matrix of order m is (m+1) x (m+1) with entry (r, c) equal to
 rho_ij(c - r); the block matrix stacks the four kinds as
 [[R11, R12], [R12', R22]] and is 2(m+1)-dimensional. Both builders take a
 residual series or its lag kernel (:class:`~portmanteau.residuals.LagCorrelations`)
-at any largest lag >= m, and read the correlations from the kernel.
+at any largest lag >= m, and read the correlations from the kernel. The
+Schur-complement and trace-identity oracles for these matrices live in
+:mod:`portmanteau.reference`.
 """
 
 from __future__ import annotations
@@ -13,17 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 
 from .errors import LagTooLarge, NotPositiveDefinite
-from .residuals import (
-    LagCorrelations,
-    ResidualSeries,
-    cross_corr_sequence,
-    lag_correlations,
-    standardization_factors,
-)
+from .residuals import LagCorrelations, ResidualSeries, lag_correlations, standardization_factors
 
 _KINDS = {(1, 1): "R11", (1, 2): "R12", (2, 1): "R21", (2, 2): "R22"}
 
@@ -121,33 +116,3 @@ def logdet_pd(matrix) -> float:
         raise ValueError(f"invalid argument {-info} to dpotrf")
     return float(2.0 * np.sum(np.log(np.diag(c))))
 
-
-def schur_logdet(block) -> float:
-    """Block log-determinant log|R11| + log|R22 - R12' R11^-1 R12|.
-
-    Validation route for :func:`logdet_pd` on block matrices; both must agree
-    whenever the block matrix is positive definite.
-    """
-    a = _as_array(block)
-    d = a.shape[0] // 2
-    r11 = a[:d, :d]
-    r12 = a[:d, d:]
-    r22 = a[d:, d:]
-    try:
-        factor = cho_factor(r11, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own type
-        raise NotPositiveDefinite(0) from exc
-    complement = r22 - r12.T @ cho_solve(factor, r12)
-    logdet_r11 = float(2.0 * np.sum(np.log(np.diag(factor[0]))))
-    return logdet_r11 + logdet_pd(complement)
-
-
-def weighted_cross_sum(series: ResidualSeries, m: int) -> float:
-    """sum over k = -m..m of (m+1-|k|) rho_12(k)^2.
-
-    Equals tr(R12' R12) exactly; exposed for the trace-identity checks.
-    """
-    pos = cross_corr_sequence(series, 1, 2, m)
-    neg = cross_corr_sequence(series, 2, 1, m)
-    weights = m + 1.0 - np.arange(m + 1)
-    return float(weights @ (pos * pos) + weights[1:] @ (neg[1:] * neg[1:]))

@@ -31,6 +31,11 @@ degenerate report. Each public statistic function evaluates its row on a
 residual series or on its lag kernel
 (:class:`~portmanteau.residuals.LagCorrelations`) at any largest lag >= m;
 ``evaluate_statistics`` hands one kernel to all of them.
+
+``null_distribution`` gives every statistic's null, so a caller can check
+before any data is seen that each (statistic, m) pair has one. The
+eigenvalue route to the Cm null and the asymptotic Cm decomposition, used
+only to validate this module, live in :mod:`portmanteau.reference`.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
-from scipy.signal import lfilter
 from scipy.special import chdtrc, gammaincc
 
 from .corrmat import _check_order, build_block, build_toeplitz, logdet_pd
@@ -49,23 +52,11 @@ from .errors import (
     DegenerateVariance,
     InvalidOrder,
     InvalidSpec,
-    NonInvertible,
     NonPositiveDf,
-    NonStationary,
     NotPositiveDefinite,
     SingularToeplitz,
 )
-from .models import _check_roots
-from .residuals import (
-    CorrSequence,
-    LagCorrelations,
-    ResidualSeries,
-    correlogram,
-    cross_correlation,
-    durbin_levinson,
-    garch_standardized_sq_acfs,
-    lag_correlations,
-)
+from .residuals import CorrSequence, LagCorrelations, ResidualSeries, garch_standardized_sq_acfs, lag_correlations
 
 
 @dataclass(frozen=True)
@@ -188,14 +179,6 @@ def gamma_from_moments(sum_lambda: float, sum_lambda_sq: float) -> tuple[float, 
     return b / 2.0, 2.0 * a
 
 
-def cm_moment_sums(m: int, p_plus_q: int) -> tuple[float, float]:
-    """Weight sums (S1, S2) of the chi-square combination behind the Cm null."""
-    s = p_plus_q
-    sum_lambda = 2.0 * m + 5.0 - s
-    sum_lambda_sq = 4.0 * (m + 2.0) * (2.0 * m + 3.0) / (3.0 * (m + 1.0)) + 1.0 - s
-    return sum_lambda, sum_lambda_sq
-
-
 def cm_gamma_params(m: int, p_plus_q: int) -> tuple[float, float]:
     """Closed-form (shape, scale) of the gamma null for the Cm statistic.
 
@@ -242,13 +225,27 @@ def _chi2_dist(m: int, correction: int) -> tuple:
     return ("chi2", df)
 
 
-def _null(kind: str, m: int, correction: int) -> tuple:
-    """The distribution tag of a row's null ("chi2", "tri_m", "tri_m+1" or "cm")."""
-    if kind == "chi2":
-        return _chi2_dist(m, correction)
-    if kind == "cm":
-        return ("gamma", *cm_gamma_params(m, correction))
-    return ("gamma", *gamma_from_moments(*_triangular_moments(m, correction, over=kind[len("tri_"):])))
+def null_distribution(
+    name: str, m: int, order_correction: int = 0, garch_orders: tuple[int, int] = (0, 0)
+) -> tuple[int, tuple]:
+    """(correction, dist) of statistic ``name``'s null at lag order m.
+
+    A table row takes the fit's order correction only when it reads residual
+    autocorrelations (i = j = 1); the Lb family takes b + a from the fitted
+    variance orders. Raises :class:`NonPositiveDf` or :class:`InvalidOrder`
+    when the correction leaves no null at this m.
+    """
+    if name in ("Lb", "Lbw"):
+        correction = garch_orders[0] + garch_orders[1]
+        return correction, _chi2_dist(m, correction)
+    row = _TABLE[name]
+    correction = order_correction if row.i == row.j == 1 else 0
+    if row.null == "chi2":
+        return correction, _chi2_dist(m, correction)
+    if row.null == "cm":
+        return correction, ("gamma", *cm_gamma_params(m, correction))
+    over = row.null[len("tri_"):]
+    return correction, ("gamma", *gamma_from_moments(*_triangular_moments(m, correction, over=over)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +295,17 @@ def _read(row: _Row, corr: LagCorrelations, m: int):
     return logdet_pd(build_block(corr, m))
 
 
-def _evaluate(name: str, row: _Row, read, n: int, m: int, order_correction: int) -> TestReport:
-    """One row's report on the input ``read()`` returns, degenerate if its matrix is not positive definite."""
-    correction = order_correction if row.i == row.j == 1 else 0
-    dist = _null(row.null, m, correction)
+def _evaluate(name: str, form: str, read, n: int, m: int, null: tuple[int, tuple]) -> TestReport:
+    """Statistic ``name`` on the input ``read()`` returns, degenerate if its matrix is not positive definite.
+
+    ``null`` is the statistic's ``null_distribution``, computed before the input is read.
+    """
+    correction, dist = null
     try:
         x = read()
     except (SingularToeplitz, NotPositiveDefinite):
         return _degenerate(name, m, correction, dist)
-    return _report(name, _FORMS[row.form](x, n, m), m, correction, dist)
+    return _report(name, _FORMS[form](x, n, m), m, correction, dist)
 
 
 def _table_test(
@@ -319,14 +318,18 @@ def _table_test(
     row = _TABLE[name] if row is None else row
     _check_order(series.n, m)
     corr = lag_correlations(series, m)
-    return _evaluate(name, row, lambda: _read(row, corr, m), corr.n, m, order_correction)
+    null = null_distribution(name, m, order_correction)
+    return _evaluate(name, row.form, lambda: _read(row, corr, m), corr.n, m, null)
 
 
 def _sequence_test(name: str, form: str, acf: CorrSequence, n: int, m: int | None, order_correction: int) -> TestReport:
-    """A chi-square quadratic form on the first m values of a correlation sequence."""
+    """A chi-square quadratic form on the first m values of a correlation sequence.
+
+    Every such form has the null of its kind's Ljung-Box row (Q11, Q22, Q12 or Q21).
+    """
     m = acf.m if m is None else m
-    row = _Row("rho", int(acf.kind[3]), int(acf.kind[4]), form, "chi2")
-    return _evaluate(name, row, lambda: acf.values[:m], n, m, order_correction)
+    null = null_distribution("Q" + acf.kind[3:5], m, order_correction)
+    return _evaluate(name, form, lambda: acf.values[:m], n, m, null)
 
 
 def _which(family: str, which: str) -> str:
@@ -410,27 +413,6 @@ def cm_test(series: ResidualSeries | LagCorrelations, m: int, p_plus_q: int = 0)
     return _table_test("Cm", series, m, p_plus_q)
 
 
-def cm_decomposition(series: ResidualSeries, m: int) -> float:
-    """Asymptotic decomposition of the Cm statistic into interpretable parts.
-
-    Two triangular PACF log terms (one per power), the triangular one-sided
-    cross-correlation sums, and the n rho_12(0)^2 term. Differs from the exact
-    statistic by the dropped remainder of the block-determinant expansion.
-    """
-    n = series.n
-    w = (m + 1.0 - np.arange(1, m + 1)) / (m + 1.0)
-    total = 0.0
-    for i in (1, 2):
-        pac = durbin_levinson(correlogram(series, i, i, m).values)
-        total += -n * float(w @ np.log1p(-pac * pac))
-    pos = correlogram(series, 1, 2, m).values
-    neg = correlogram(series, 2, 1, m).values
-    total += n * float(w @ (pos * pos)) + n * float(w @ (neg * neg))
-    rho0 = cross_correlation(series, 1, 2, 0)
-    total += n * rho0 * rho0
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Fitted-variance (ARCH adequacy) statistics
 # ---------------------------------------------------------------------------
@@ -445,9 +427,8 @@ def li_mak(eps, sigma2, m: int, b: int, a: int, weighted: bool = False) -> TestR
     degrees of freedom.
     """
     n = len(eps)
-    correction = b + a
-    dist = _chi2_dist(m, correction)
     name = "Lbw" if weighted else "Lb"
+    correction, dist = null_distribution(name, m, garch_orders=(b, a))
     try:
         rho = garch_standardized_sq_acfs(eps, sigma2, m)
     except DegenerateVariance:
@@ -459,123 +440,6 @@ def li_mak(eps, sigma2, m: int, b: int, a: int, weighted: bool = False) -> TestR
     else:
         stat = _bp(rho, n, m)
     return _report(name, stat, m, correction, dist)
-
-
-# ---------------------------------------------------------------------------
-# Quadratic-form weight machinery (validation path for the gamma null)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QmMatrix:
-    """Projection matrix capturing the ARMA estimation effect on residual ACF.
-
-    X has one column per fitted coefficient filled with the series expansion of
-    1/phi(B) (AR columns) and 1/theta(B) (MA columns); V is the limiting Gram
-    matrix of those columns (the parameter information matrix), and
-    Q = X V^-1 X' is idempotent with trace p+q in the large-m limit. weights
-    holds the triangular profile (m+1-l)/(m+1) for l = 1..m.
-    """
-
-    m: int
-    p: int
-    q: int
-    X: np.ndarray
-    V: np.ndarray
-    Q: np.ndarray
-    weights: np.ndarray
-    exact_v: bool
-
-
-def _inverse_poly_coeffs(ar_style: np.ndarray, nterms: int) -> np.ndarray:
-    """Coefficients c of 1/(1 - a1 B - ... - ap B^p) up to B^(nterms-1)."""
-    impulse = np.zeros(nterms)
-    impulse[0] = 1.0
-    return lfilter([1.0], np.concatenate(([1.0], -ar_style)), impulse)
-
-
-def _exact_gram(ar_style: np.ndarray) -> np.ndarray:
-    """Limit Gram matrix of the expansion columns for a single polynomial.
-
-    Equals the autocovariance matrix (orders 0..p-1) of the unit-innovation
-    process with that autoregressive polynomial, obtained from the companion
-    form's discrete Lyapunov equation.
-    """
-    p = ar_style.size
-    companion = np.zeros((p, p))
-    companion[0, :] = ar_style
-    if p > 1:
-        companion[1:, :-1] = np.eye(p - 1)
-    noise = np.zeros((p, p))
-    noise[0, 0] = 1.0
-    if p == 1:
-        return np.array([[1.0 / (1.0 - ar_style[0] ** 2)]])
-    return solve_discrete_lyapunov(companion, noise)
-
-
-_GRAM_TERMS = 5000
-
-
-def build_qm(ar_coeffs, ma_coeffs, m: int) -> QmMatrix:
-    """Build the estimation-effect projection for given ARMA coefficients.
-
-    V is exact (discrete Lyapunov solve) for pure AR and pure MA models; mixed
-    models fall back to the Gram matrix of the first 5000 expansion terms and
-    are flagged via ``exact_v=False``.
-    """
-    phi = np.asarray(ar_coeffs, dtype=float)
-    theta = np.asarray(ma_coeffs, dtype=float)
-    p, q = phi.size, theta.size
-    _check_roots(phi, NonStationary, "autoregressive")
-    # 1/theta(B) with theta(B) = 1 + t1 B + ... is the a-style expansion of -theta
-    _check_roots(-theta, NonInvertible, "moving-average")
-    weights = (m + 1.0 - np.arange(1, m + 1)) / (m + 1.0)
-    if p + q == 0:
-        return QmMatrix(
-            m=m, p=0, q=0, X=np.zeros((m, 0)), V=np.zeros((0, 0)),
-            Q=np.zeros((m, m)), weights=weights, exact_v=True,
-        )
-    nterms = max(m, _GRAM_TERMS)
-    ar_exp = _inverse_poly_coeffs(phi, nterms) if p else None
-    ma_exp = _inverse_poly_coeffs(-theta, nterms) if q else None
-
-    def column(exp: np.ndarray, j: int, rows: int) -> np.ndarray:
-        col = np.zeros(rows)
-        col[j - 1 : rows] = exp[: rows - (j - 1)]
-        return col
-
-    cols = [column(ar_exp, j, nterms) for j in range(1, p + 1)]
-    cols += [column(ma_exp, j, nterms) for j in range(1, q + 1)]
-    big = np.column_stack(cols)
-    if q == 0:
-        V = _exact_gram(phi)
-        exact = True
-    elif p == 0:
-        V = _exact_gram(-theta)
-        exact = True
-    else:
-        V = big.T @ big
-        exact = False
-    X = big[:m, :]
-    Q = X @ np.linalg.solve(V, X.T)
-    return QmMatrix(m=m, p=p, q=q, X=X, V=V, Q=Q, weights=weights, exact_v=exact)
-
-
-def combo_eigenvalues(qm: QmMatrix) -> np.ndarray:
-    """Weights of the chi-square combination approximating the Cm null.
-
-    The lag range is extended to include lag 0 (unit weight, untouched by the
-    estimation projection); the final unit entry accounts for the extra lag-0
-    cross-correlation component. The sum of the returned values approaches
-    2m+5-(p+q) as m grows.
-    """
-    m = qm.m
-    w = np.concatenate(([1.0], qm.weights))
-    q_pad = np.zeros((m + 1, m + 1))
-    q_pad[1:, 1:] = qm.Q
-    mat = (4.0 * np.eye(m + 1) - q_pad) * w[np.newaxis, :]
-    eig = np.linalg.eigvals(mat).real
-    return np.concatenate((np.sort(eig)[::-1], [1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -358,10 +358,10 @@ def _from_dict(cls, d, context: str):
     Unknown keys are rejected and a missing key takes the field's default, so
     the config shares its defaults with the constructor. A present value is
     converted to the type of the field's default: a tuple element by element to
-    float, a nested dataclass from its own dict. A field without a default holds
-    a model of any kind; a model's ``kind`` tag picks its class, which must be
-    ``cls`` when ``cls`` is a model class. A value that does not convert raises
-    :class:`ConfigError`.
+    float, a nested dataclass from its own dict, anything else by
+    :func:`_convert`. A field without a default holds a model of any kind; a
+    model's ``kind`` tag picks its class, which must be ``cls`` when ``cls`` is
+    a model class. A value that does not convert raises :class:`ConfigError`.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{context} must be an object")
@@ -393,10 +393,29 @@ def _from_dict(cls, d, context: str):
                     raise TypeError(f"expected a list, got {type(value).__name__}")
                 values[f.name] = tuple(float(x) for x in value)
             else:
-                values[f.name] = type(default)(value)
+                values[f.name] = _convert(default, value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
     return cls(**values)
+
+
+def _convert(default, value):
+    """``value`` as a config value of ``default``'s type, without losing information.
+
+    A bool takes only a JSON boolean and an int only an integral number that
+    is not a boolean; any other type converts with its constructor, so a float
+    takes an int. Raises TypeError or ValueError.
+    """
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise TypeError(f"expected true or false, got {value!r}")
+        return value
+    if isinstance(default, int):
+        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not integral:
+            raise TypeError(f"expected an integer, got {value!r}")
+        return int(value)
+    return type(default)(value)
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:

@@ -4,6 +4,10 @@ Each replicate owns a seed derived from the master seed and its index, so the
 result of an experiment is independent of the worker count and of scheduling:
 per-cell rejection counts are integers and their summation order cannot change
 the table.
+
+Each fitter kind is one row of ``_FITTERS``, which every use of the kind reads,
+and ``evaluate_fit`` is the one step from a fit to its statistics, shared with
+the ``test`` command.
 """
 
 from __future__ import annotations
@@ -14,21 +18,17 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .diagnostics import ALL_STATISTICS, evaluate_statistics
-from .errors import ConfigError, EmptySample, InvalidSpec, NonFinite, PortmanteauError
-from .fitting import (
-    FitResult,
-    fit_ar,
-    fit_ar_garch,
-    fit_arma_css,
-    fit_garch_qmle,
-    select_ar_order_aic,
+from .diagnostics import ALL_STATISTICS, TestReport, evaluate_statistics, null_distribution
+from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, NonFinite, NonPositiveDf, PortmanteauError
+from .fitting import FitResult, fit_ar, fit_ar_garch, fit_arma_css, fit_garch_qmle, select_ar_order_aic
+from .models import (
+    _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _convert, _from_dict, _simulate, _to_dict, spec_from_dict,
 )
-from .models import _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _from_dict, _simulate, _to_dict, spec_from_dict
-from .residuals import LagCorrelations, make_residual_series
+from .residuals import LagCorrelations
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -38,7 +38,7 @@ class FitterSpec:
     """How each simulated series is fitted before testing.
 
     kind:
-      "none"     no fit; the raw series is treated as the residuals
+      "none"     AR(0) without intercept: the raw series is the residuals
       "true"     the generator's own family and orders
       "ar"       AR(p) by least squares
       "arma"     ARMA(p, q) by conditional sum of squares
@@ -63,11 +63,11 @@ class FitterSpec:
 
     def validate(self) -> None:
         """Reject a fitter that would fail every replicate; the fitters keep their own checks."""
-        if self.kind not in ("none", "true", "ar", "arma", "ar_aic", "garch", "ar_garch"):
+        if self.kind != "true" and self.kind not in _FITTERS:
             raise InvalidSpec(f"unknown fitter kind {self.kind!r}")
         if min(self.p, self.q, self.b, self.a) < 0:
             raise InvalidSpec("fitter orders p, q, b and a must be non-negative")
-        if self.kind in ("garch", "ar_garch") and self.b + self.a == 0:
+        if self.kind != "true" and _FITTERS[self.kind].variances and self.b + self.a == 0:
             raise InvalidSpec(f"a {self.kind} fit needs b + a >= 1")
         if self.kind == "ar_aic" and self.p_max < 1:
             raise InvalidSpec("an ar_aic fit needs p_max >= 1")
@@ -83,11 +83,45 @@ class FitterSpec:
     def lost_rows(self, generator: ModelSpec | None) -> int:
         """Rows the fit drops from the front of the series (the most it can drop, for ar_aic)."""
         fitter = self.resolve(generator)
-        if fitter.kind in ("ar", "arma", "ar_garch"):
-            return fitter.p
-        if fitter.kind == "ar_aic":
-            return fitter.p_max
-        return 0
+        return _FITTERS[fitter.kind].lost_rows(fitter)
+
+
+@dataclass(frozen=True)
+class _Fitter:
+    """One fitter kind: its fitting call, the rows it drops from the front of
+    the series, the largest order correction its fits carry, whether it
+    accepts a series of n values (the fitter's own length check), and whether
+    its fits carry the conditional variances the Lb family needs."""
+
+    fit: Callable[[np.ndarray, FitterSpec], FitResult]
+    lost_rows: Callable[[FitterSpec], int]
+    max_correction: Callable[[FitterSpec], int]
+    accepts: Callable[[FitterSpec, int], bool]
+    variances: bool = False
+
+
+# kind: _Fitter(fit, lost_rows, max_correction, accepts[, variances])
+_FITTERS = {
+    "none": _Fitter(lambda z, f: fit_ar(z, 0, intercept=False), lambda f: 0, lambda f: 0, lambda f, n: True),
+    "ar": _Fitter(
+        lambda z, f: fit_ar(z, f.p, intercept=f.intercept), lambda f: f.p, lambda f: f.p, lambda f, n: n > 10 * f.p
+    ),
+    "arma": _Fitter(
+        lambda z, f: fit_arma_css(z, f.p, f.q), lambda f: f.p, lambda f: f.p + f.q,
+        lambda f, n: n > 10 * max(f.p, f.q, 1),
+    ),
+    "ar_aic": _Fitter(
+        lambda z, f: select_ar_order_aic(z, f.p_max, intercept=f.intercept), lambda f: f.p_max, lambda f: f.p_max,
+        lambda f, n: n > 10 * f.p_max,
+    ),
+    "garch": _Fitter(
+        lambda z, f: fit_garch_qmle(z, f.b, f.a), lambda f: 0, lambda f: 0, lambda f, n: n > 10 * (f.b + f.a), True
+    ),
+    "ar_garch": _Fitter(
+        lambda z, f: fit_ar_garch(z, f.p, f.b, f.a, intercept=f.intercept), lambda f: f.p, lambda f: f.p,
+        lambda f, n: n > 10 * f.p and n - f.p > 10 * (f.b + f.a), True,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -104,8 +138,16 @@ class Experiment:
     master_seed: int = 0
 
     def validate(self) -> None:
+        """Reject an experiment that cannot run, before its first replicate.
+
+        Every statistic needs a null distribution at every m under the largest
+        order correction the fitter's fits can carry, the worst case of every
+        null. A fitter that rejects every n of the grid is exempt: its
+        replicates are all counted fit failures, and none is tested.
+        """
         self.generator.validate()
-        self.fitter.resolve(self.generator).validate()
+        fitter = self.fitter.resolve(self.generator)
+        fitter.validate()
         if self.replications < 1:
             raise InvalidSpec("need at least one replication")
         if not self.n_list or not self.m_list or not self.levels or not self.statistics:
@@ -122,6 +164,10 @@ class Experiment:
         for level in self.levels:
             if not 0.0 < level < 1.0:
                 raise InvalidSpec(f"levels must lie strictly in (0, 1), got {level}")
+        kind = _FITTERS[fitter.kind]
+        if any(kind.accepts(fitter, n) for n in self.n_list):
+            garch_orders = (fitter.b, fitter.a) if kind.variances else None
+            check_nulls(self.statistics, self.m_list, kind.max_correction(fitter), garch_orders)
 
 
 @dataclass
@@ -218,35 +264,40 @@ def _true_fitter_for(spec: ModelSpec) -> FitterSpec:
 def fit_series(z: np.ndarray, fitter: FitterSpec, generator: ModelSpec | None = None) -> FitResult:
     """Apply a fitter to one simulated series."""
     fitter = fitter.resolve(generator)
-    if fitter.kind == "none":
-        resid = make_residual_series(z)
-        return FitResult(
-            kind="ar",
-            order=(0, 0),
-            params={"mu": 0.0, "phi": (), "sigma2": float(np.mean(z * z))},
-            residuals=resid,
-            loglik=float("nan"),
-            aic=float("nan"),
-            converged=True,
-            iterations=0,
+    return _FITTERS[fitter.kind].fit(z, fitter)
+
+
+def check_nulls(statistics, m_list, order_correction: int, garch_orders: tuple[int, int] | None) -> None:
+    """Raise :class:`InvalidSpec` unless every statistic has a null at every m.
+
+    ``garch_orders`` is None for a fit without conditional variances, which
+    the Lb family cannot use.
+    """
+    for name in statistics:
+        if garch_orders is None and name in ("Lb", "Lbw"):
+            raise InvalidSpec(f"{name} requires a fit with conditional variances (garch or ar_garch)")
+        for m in m_list:
+            try:
+                null_distribution(name, m, order_correction, garch_orders or (0, 0))
+            except (NonPositiveDf, InvalidOrder) as exc:
+                raise InvalidSpec(f"{name} has no null distribution at m = {m}: {exc}") from None
+
+
+def evaluate_fit(fit: FitResult, statistics, m_list) -> list[dict[str, TestReport]]:
+    """The reports of ``statistics`` on one fit, one dict per lag order in ``m_list``.
+
+    The residuals are correlated once, at the largest m, and every m reads
+    that one lag kernel; the Lb family reads the fit's conditional variances.
+    """
+    sigma2 = None if fit.conditional_sd is None else fit.conditional_sd * fit.conditional_sd
+    correlations = LagCorrelations(fit.residuals, max(m_list))
+    return [
+        evaluate_statistics(
+            statistics, fit.residuals, m, order_correction=fit.order_correction, garch_eps=fit.garch_eps,
+            garch_sigma2=sigma2, garch_orders=fit.garch_orders, correlations=correlations,
         )
-    if fitter.kind == "ar":
-        return fit_ar(z, fitter.p, intercept=fitter.intercept)
-    if fitter.kind == "arma":
-        return fit_arma_css(z, fitter.p, fitter.q)
-    if fitter.kind == "ar_aic":
-        return select_ar_order_aic(z, fitter.p_max, intercept=fitter.intercept)
-    if fitter.kind == "garch":
-        return fit_garch_qmle(z, fitter.b, fitter.a)
-    if fitter.kind == "ar_garch":
-        return fit_ar_garch(z, fitter.p, fitter.b, fitter.a, intercept=fitter.intercept)
-    raise InvalidSpec(f"unknown fitter kind {fitter.kind!r}")
-
-
-def _conditional_variance(fit: FitResult) -> np.ndarray | None:
-    if fit.conditional_sd is None:
-        return None
-    return fit.conditional_sd * fit.conditional_sd
+        for m in m_list
+    ]
 
 
 def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray, int, int, int]:
@@ -254,21 +305,17 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
     failures) for replicates [start, stop); the deterministic kernel.
 
     ``exp`` must already be validated: the generator spec is not checked again
-    for each replicate. Each fit's residuals are correlated once, at the
-    largest m, and every m reads that one lag kernel.
+    for each replicate.
     """
     stats = list(exp.statistics)
-    n_list = list(exp.n_list)
-    m_list = list(exp.m_list)
-    max_m = max(m_list)
     levels = np.asarray(exp.levels, dtype=float)
-    counts = np.zeros((len(stats), len(n_list), len(m_list), len(levels)), dtype=np.int64)
+    counts = np.zeros((len(stats), len(exp.n_list), len(exp.m_list), len(levels)), dtype=np.int64)
     degenerate = 0
     sim_failures = 0
     failures = 0
     for rep in range(start, stop):
         seed = replicate_seed(exp.master_seed, rep)
-        for ni, n in enumerate(n_list):
+        for ni, n in enumerate(exp.n_list):
             try:
                 z = _simulate(exp.generator, n, seed)
             except NonFinite:
@@ -279,30 +326,12 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
             except PortmanteauError:
                 failures += 1
                 continue
-            sigma2 = _conditional_variance(fit)
-            correlations = LagCorrelations(fit.residuals, max_m)
-            for mi, m in enumerate(m_list):
-                reports = evaluate_statistics(
-                    stats,
-                    fit.residuals,
-                    m,
-                    order_correction=fit.order_correction,
-                    garch_eps=fit.garch_eps,
-                    garch_sigma2=sigma2,
-                    garch_orders=fit.garch_orders,
-                    correlations=correlations,
-                )
+            for mi, reports in enumerate(evaluate_fit(fit, stats, exp.m_list)):
                 for si, name in enumerate(stats):
                     report = reports[name]
-                    if report.degenerate:
-                        degenerate += 1
+                    degenerate += report.degenerate
                     counts[si, ni, mi] += report.p_value < levels
     return counts, degenerate, sim_failures, failures
-
-
-def _chunk_worker(args) -> tuple[np.ndarray, int, int, int]:
-    exp, start, stop = args
-    return _run_replicates(exp, start, stop)
 
 
 def run_experiment(exp: Experiment, workers: int | None = None, log=None) -> McTable:
@@ -319,21 +348,15 @@ def run_experiment(exp: Experiment, workers: int | None = None, log=None) -> McT
     workers = max(1, min(workers, reps))
     if log:
         log(f"running {reps} replicates on {workers} worker(s)")
+    bounds = [int(b) for b in np.linspace(0, reps, workers + 1, dtype=int)]
+    chunks = ([exp] * workers, bounds[:-1], bounds[1:])
     if workers == 1:
-        counts, degenerate, sim_failures, failures = _run_replicates(exp, 0, reps)
+        parts = list(map(_run_replicates, *chunks))
     else:
-        bounds = np.linspace(0, reps, workers + 1, dtype=int)
-        tasks = [(exp, int(bounds[i]), int(bounds[i + 1])) for i in range(workers) if bounds[i] < bounds[i + 1]]
-        counts = None
-        degenerate = 0
-        sim_failures = 0
-        failures = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, deg, sim_fail, fail in pool.map(_chunk_worker, tasks):
-                counts = part if counts is None else counts + part
-                degenerate += deg
-                sim_failures += sim_fail
-                failures += fail
+            parts = list(pool.map(_run_replicates, *chunks))
+    counts = sum(part[0] for part in parts)
+    degenerate, sim_failures, failures = (sum(part[k] for part in parts) for k in (1, 2, 3))
     cells = {}
     for si, name in enumerate(exp.statistics):
         for ni, n in enumerate(exp.n_list):
@@ -360,17 +383,7 @@ def run_experiment(exp: Experiment, workers: int | None = None, log=None) -> McT
 # Experiment JSON configuration
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {
-    "schema",
-    "generator",
-    "fitter",
-    "n",
-    "m",
-    "levels",
-    "replications",
-    "statistics",
-    "master_seed",
-}
+_EXPERIMENT_KEYS = {"schema", "generator", "fitter", "n", "m", "levels", "replications", "statistics", "master_seed"}
 
 
 def experiment_from_dict(d: dict) -> Experiment:
@@ -386,21 +399,32 @@ def experiment_from_dict(d: dict) -> Experiment:
             raise ConfigError(f"experiment config is missing {key!r}")
     generator = spec_from_dict(d["generator"])
     fitter = _from_dict(FitterSpec, d["fitter"], "fitter")
-    try:
-        exp = Experiment(
-            generator=generator,
-            fitter=fitter,
-            n_list=tuple(int(n) for n in d["n"]),
-            m_list=tuple(int(m) for m in d["m"]),
-            levels=tuple(float(x) for x in d.get("levels", (0.01, 0.05, 0.10))),
-            replications=int(d["replications"]),
-            statistics=tuple(d["statistics"]),
-            master_seed=int(d.get("master_seed", Experiment.master_seed)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed experiment config: {exc}") from None
+    exp = Experiment(
+        generator=generator,
+        fitter=fitter,
+        n_list=_config_value(d, "n", 0, array=True),
+        m_list=_config_value(d, "m", 0, array=True),
+        levels=_config_value(d, "levels", 0.0, array=True, default=[0.01, 0.05, 0.10]),
+        replications=_config_value(d, "replications", 0),
+        statistics=_config_value(d, "statistics", "", array=True),
+        master_seed=_config_value(d, "master_seed", 0, default=Experiment.master_seed),
+    )
     exp.validate()
     return exp
+
+
+def _config_value(d: dict, key: str, like, array: bool = False, default=None):
+    """Experiment config key ``key`` as a value of ``like``'s type, or with ``array``
+    a JSON array of them as a tuple; ``default`` when the key is absent."""
+    value = d.get(key, default)
+    try:
+        if not array:
+            return _convert(like, value)
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+        return tuple(_convert(like, x) for x in value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"experiment config key {key!r}: {exc}") from None
 
 
 def experiment_to_dict(exp: Experiment) -> dict:

@@ -13,6 +13,8 @@ most once per autocorrelation kind. Every smaller lag order m reads a prefix
 of those sequences, which is bit for bit what a separate computation at m
 gives, because no lag's value depends on M. ``cross_corr_sequence``,
 ``correlogram`` and the statistics in ``diagnostics`` all read the kernel.
+The single-lag and standalone-PACF oracles the tests check the kernel
+against live in :mod:`portmanteau.reference`.
 """
 
 from __future__ import annotations
@@ -79,14 +81,6 @@ class CorrSequence:
         return int(self.lags[-1]) if len(self.lags) else 0
 
 
-@dataclass(frozen=True)
-class PacfSequence:
-    """Partial autocorrelations pi_k, k = 1..m, of residuals or their squares."""
-
-    source: str  # "residuals" | "squared_residuals"
-    values: np.ndarray
-
-
 def make_residual_series(values) -> ResidualSeries:
     """Build a :class:`ResidualSeries`, centering e_t and e_t^2 at their own means."""
     v = np.asarray(values, dtype=float)
@@ -129,26 +123,6 @@ def _norm(series: ResidualSeries, i: int, j: int) -> float:
     return float(np.sqrt(gii * gjj))
 
 
-def cross_correlation(series: ResidualSeries, i: int, j: int, k: int) -> float:
-    """Sample correlation at lag k between e_t^i and e_{t+k}^j (i, j in {1, 2}).
-
-    Negative lags use the symmetry rho_ij(-k) = rho_ji(k). The covariance
-    divisor is n for every lag.
-    """
-    n = series.n
-    if abs(k) >= n:
-        raise LagOutOfRange(f"|k| = {abs(k)} must be smaller than n = {n}")
-    if k < 0:
-        i, j, k = j, i, -k
-    fi = _centered(series, i)
-    fj = _centered(series, j)
-    if k == 0:
-        gamma = float(fi @ fj) / n
-    else:
-        gamma = float(fi[: n - k] @ fj[k:]) / n
-    return gamma / _norm(series, i, j)
-
-
 def cross_corr_sequence(series: ResidualSeries, i: int, j: int, m: int) -> np.ndarray:
     """Vector of rho_ij(k) for k = 0..m: the lag kernel's pass over one kind.
 
@@ -171,13 +145,6 @@ def cross_corr_sequence(series: ResidualSeries, i: int, j: int, m: int) -> np.nd
 def standardization_factors(n: int, lags) -> np.ndarray:
     """The per-lag factors sqrt((n+2)/(n-|k|)) of the standardized correlations."""
     return np.sqrt((n + 2.0) / (n - np.abs(lags)))
-
-
-def standardize_correlation(rho, k: int, n: int):
-    """Scale a lag-k correlation by sqrt((n+2)/(n-|k|))."""
-    if abs(k) >= n:
-        raise LagOutOfRange(f"|k| = {abs(k)} must be smaller than n = {n}")
-    return standardization_factors(n, k) * rho
 
 
 def durbin_levinson_prefix(rho: np.ndarray) -> tuple[np.ndarray, int | None]:
@@ -288,22 +255,6 @@ def correlogram(series: ResidualSeries, i: int, j: int, m: int, standardized: bo
     return LagCorrelations(series, m).correlogram(i, j, m, standardized)
 
 
-def pacf(acf: CorrSequence, m: int | None = None) -> PacfSequence:
-    """Partial autocorrelations of an autocorrelation sequence (kinds rho11/rho22)."""
-    if acf.kind not in ("rho11", "rho22"):
-        raise ValueError(f"pacf requires an autocorrelation sequence, got kind {acf.kind!r}")
-    values = acf.values if m is None else acf.values[:m]
-    source = "residuals" if acf.kind == "rho11" else "squared_residuals"
-    return PacfSequence(source=source, values=durbin_levinson(values))
-
-
-def residual_pacf(series: ResidualSeries, m: int, which: str = "residuals", standardized: bool = False) -> np.ndarray:
-    """PACF over lags 1..m of the residuals or the squared residuals."""
-    i = 1 if which == "residuals" else 2
-    acf = correlogram(series, i, i, m, standardized=standardized)
-    return durbin_levinson(acf.values)
-
-
 def _centered_sq_ratio(eps, sigma2, k: int) -> tuple[np.ndarray, float]:
     """Centered ratios d_t = r_t - mean(r), r_t = e_t^2 / s_t^2, and sum d_t^2, checked for lag k."""
     e = np.asarray(eps, dtype=float)
@@ -323,18 +274,12 @@ def _centered_sq_ratio(eps, sigma2, k: int) -> tuple[np.ndarray, float]:
     return d, den
 
 
-def garch_standardized_sq_acf(eps, sigma2, k: int) -> float:
-    """Lag-k autocorrelation of e_t^2 / s_t^2 for fitted conditional variances s_t^2.
+def garch_standardized_sq_acfs(eps, sigma2, m: int) -> np.ndarray:
+    """Autocorrelations at lags 1..m of e_t^2 / s_t^2 for fitted conditional variances s_t^2.
 
-    The ratio sequence is centered at its own mean, and the statistic is the
+    The ratio sequence is centered at its own mean, and each value is the
     plain ratio of lagged to zero-lag sums (no per-lag divisor correction).
     """
-    d, den = _centered_sq_ratio(eps, sigma2, k)
-    return float(d[k:] @ d[: d.size - k]) / den
-
-
-def garch_standardized_sq_acfs(eps, sigma2, m: int) -> np.ndarray:
-    """``garch_standardized_sq_acf`` at lags 1..m, validating and centering once."""
     d, den = _centered_sq_ratio(eps, sigma2, 1)
     n = d.size
     if m >= n:

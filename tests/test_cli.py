@@ -243,6 +243,17 @@ class TestTestCommand:
         code, _, _ = _run(["test", data, "--fit", "ar:1", "--stats", "Lb", "--lags", "5"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("fit, stat", [("ar:2", "Q11"), ("ar:1", "Qw11"), ("arma:1,1", "Dt11")])
+    def test_statistic_without_null_exit_2(self, fit, stat, tmp_path, capsys):
+        # m = 1 leaves these nulls no degrees of freedom or weight mass after the fit's order correction
+        data = self._simulate_to(tmp_path, capsys)
+        code, out, err = _run(["test", data, "--fit", fit, "--lags", "1", "--stats", stat], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "null distribution" in err
+        code, out, _ = _run(["test", data, "--fit", fit, "--lags", "8", "--stats", stat], capsys)
+        assert code == 0 and out.count(stat) == 1
+
 
 class TestMcCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -344,6 +355,11 @@ MALFORMED_EXPERIMENTS = {
     "true_fit_of_garch_without_orders": _experiment(
         generator={"model": {"kind": "garch"}}, fitter={"kind": "true"}
     ),
+    "Q11_without_null_after_ar2": _experiment(fitter={"kind": "ar", "p": 2}, m=[1], statistics=["Q11"]),
+    "Cm_without_null_after_arma44": _experiment(fitter={"kind": "arma", "p": 4, "q": 4}, m=[1]),
+    "Lb_after_ar_fit": _experiment(statistics=["Cm", "Lb"]),
+    "lossy_bool": _experiment(fitter={"kind": "ar", "intercept": "false"}),
+    "lossy_int": _experiment(fitter={"kind": "ar", "p": 1.9}),
 }
 
 
@@ -391,3 +407,4 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+

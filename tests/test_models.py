@@ -19,6 +19,8 @@ from portmanteau import (
     spec_to_dict,
 )
 from portmanteau.errors import ConfigError, InvalidSpec, NonInvertible, NonStationary
+from portmanteau.models import _from_dict
+from portmanteau.montecarlo import FitterSpec
 
 
 class TestInnovations:
@@ -307,3 +309,24 @@ class TestSerialization:
     def test_kind_must_name_a_model(self, kind):
         with pytest.raises(ConfigError):
             spec_from_dict({"model": {"kind": kind}})
+
+
+class TestLosslessConversion:
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_bool_field_takes_only_a_json_boolean(self, value):
+        with pytest.raises(ConfigError, match="intercept"):
+            _from_dict(FitterSpec, {"kind": "ar", "intercept": value}, "fitter")
+
+    @pytest.mark.parametrize("value", [1.9, True, False, "1", 1e400, float("nan")])
+    def test_int_field_takes_only_an_integral_number(self, value):
+        with pytest.raises(ConfigError, match="'p'"):
+            _from_dict(FitterSpec, {"kind": "ar", "p": value}, "fitter")
+        with pytest.raises(ConfigError, match="burn_in"):
+            spec_from_dict({"model": {"kind": "arma"}, "burn_in": value})
+
+    def test_accepted_values(self):
+        assert _from_dict(FitterSpec, {"kind": "ar", "p": 2.0, "intercept": False}, "fitter") == FitterSpec(
+            kind="ar", p=2, intercept=False
+        )
+        assert spec_from_dict({"model": {"kind": "bilinear", "model_id": 3}}).model.model_id == 3
+        assert spec_from_dict({"model": {"kind": "garch", "omega": 1}}).model.omega == 1.0

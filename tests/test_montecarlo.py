@@ -318,3 +318,70 @@ class TestExperimentConfig:
         d[key] = value
         with pytest.raises(ConfigError):
             experiment_from_dict(d)
+
+
+# Configs whose fits succeed but whose statistic has no null at some m: each
+# used to abort at replicate 0 with a null-distribution error.
+NO_NULL_CONFIGS = {
+    "ar2_m1_Q11": dict(fitter=FitterSpec(kind="ar", p=2), m_list=(1,), statistics=("Q11",)),
+    "arma44_m1_Cm": dict(fitter=FitterSpec(kind="arma", p=4, q=4), m_list=(1,), statistics=("Cm",)),
+    "ar2_m1_Dt11": dict(fitter=FitterSpec(kind="ar", p=2), m_list=(1,), statistics=("Dt11",)),
+    "ar1_m1_Qw11": dict(fitter=FitterSpec(kind="ar", p=1), m_list=(1,), statistics=("Qw11",)),
+    "ar_Lb": dict(fitter=FitterSpec(kind="ar", p=1), m_list=(4,), statistics=("Cm", "Lb")),
+    "ar_aic_worst_order": dict(fitter=FitterSpec(kind="ar_aic", p_max=4), m_list=(4, 8), statistics=("Q11",)),
+    "garch_Lb_m_equals_b": dict(
+        generator=ModelSpec(model=Garch(omega=0.2, alpha=(0.2, 0.1))),
+        fitter=FitterSpec(kind="true"),
+        m_list=(2,),
+        statistics=("Lb",),
+    ),
+}
+
+
+class TestNullCheck:
+    @pytest.mark.parametrize("overrides", NO_NULL_CONFIGS.values(), ids=NO_NULL_CONFIGS)
+    def test_rejected_before_the_first_replicate(self, overrides):
+        exp = _small_experiment(n_list=(200,), **overrides)
+        with pytest.raises(InvalidSpec, match="null distribution|conditional variances"):
+            exp.validate()
+        with pytest.raises(InvalidSpec):
+            run_experiment(exp, workers=1)
+
+    def test_worst_case_correction_still_runs(self):
+        # criterion 6's design: an AIC order up to 4 leaves Cm a null at m = 7
+        _small_experiment(
+            fitter=FitterSpec(kind="ar_aic", p_max=4), n_list=(100,), m_list=(7,), statistics=("Cm", "Q22")
+        ).validate()
+        _small_experiment(fitter=FitterSpec(kind="ar", p=2), m_list=(8,), statistics=("Q11", "Qw11", "Dt11")).validate()
+
+    def test_fitter_that_rejects_every_n_is_not_checked(self):
+        # AR(5) needs n > 50; its replicates are counted fit failures and never tested
+        exp = _small_experiment(fitter=FitterSpec(kind="ar", p=5), n_list=(40,), m_list=(4,), replications=3)
+        exp.validate()
+        assert run_experiment(exp, workers=1).fit_failures == 3
+        with pytest.raises(InvalidSpec):
+            _small_experiment(fitter=FitterSpec(kind="ar", p=5), n_list=(40, 60), m_list=(4,)).validate()
+
+
+class TestExperimentArrays:
+    @pytest.mark.parametrize("key, value", [("n", "100"), ("m", "8"), ("levels", "0.05"), ("statistics", "Cm")])
+    def test_a_string_is_not_an_array(self, key, value):
+        d = experiment_to_dict(_small_experiment())
+        d[key] = value
+        with pytest.raises(ConfigError, match=f"'{key}'.*JSON array"):
+            experiment_from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [("n", [100.5]), ("m", [True]), ("replications", 2.5)])
+    def test_integers_are_not_rounded(self, key, value):
+        d = experiment_to_dict(_small_experiment())
+        d[key] = value
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            experiment_from_dict(d)
+
+    def test_integral_floats_and_tuples_read(self):
+        d = experiment_to_dict(_small_experiment())
+        d["n"], d["replications"], d["levels"] = [60.0], 10.0, (0.05, 0.1)
+        exp = experiment_from_dict(d)
+        assert exp.n_list == (60,) and type(exp.n_list[0]) is int
+        assert exp.replications == 10 and exp.levels == (0.05, 0.1)
+
