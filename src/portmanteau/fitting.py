@@ -293,6 +293,41 @@ def _pack_garch(omega: float, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray
     return np.concatenate(([np.log(omega)], logits))
 
 
+def _garch_nll_score(x: np.ndarray, padded: np.ndarray, eps2: np.ndarray, v0: float, b: int, a: int):
+    """Gaussian NLL 0.5 * sum(log s^2 + e^2 / s^2) at transformed point x, and its gradient in x.
+
+    The derivatives D_t of s^2_t in (omega, alpha, beta) follow the variance
+    recursion itself (Fiorentini, Calzolari & Panattoni 1996):
+    D_t = g_t + sum_j beta_j D_{t-j} with g_t = (1, e^2_{t-i}, s^2_{t-j}),
+    pre-sample e^2 and s^2 pinned at v0 and pre-sample derivatives zero. The
+    score 0.5 * sum (1/s^2 - e^2/s^4) D_t is chain-ruled through log omega
+    (d omega / dx_0 = omega) and the logits (dw/dl = diag(w) - w w^T).
+    A point whose NLL is not finite returns 1e300 and a zero gradient.
+    """
+    omega, alpha, beta = _unpack_garch(x, b, a)
+    sig2 = _garch_variances(padded, omega, alpha, beta, v0)
+    ratio = eps2 / sig2
+    val = 0.5 * float(np.sum(np.log(sig2) + ratio))
+    if not np.isfinite(val):
+        return 1e300, np.zeros_like(x)
+    n = eps2.size
+    g = np.empty((1 + b + a, n))
+    g[0] = 1.0
+    for i in range(1, b + 1):
+        g[i] = padded[b - i : b - i + n]
+    if a:
+        past = np.concatenate((np.full(a, v0), sig2))
+        for j in range(1, a + 1):
+            g[b + j] = past[a - j : a - j + n]
+        g = lfilter([1.0], np.concatenate(([1.0], -beta)), g, axis=1)
+    score = g @ (0.5 * (1.0 - ratio) / sig2)
+    weights = np.concatenate((alpha, beta))
+    grad = np.empty_like(x)
+    grad[0] = omega * score[0]
+    grad[1:] = weights * (score[1:] - weights @ score[1:])
+    return val, grad
+
+
 def fit_garch_qmle(series, b: int, a: int, max_iter: int = 4000) -> FitResult:
     """Gaussian QMLE of a GARCH(b, a) variance recursion on a zero-mean series.
 
@@ -301,6 +336,18 @@ def fit_garch_qmle(series, b: int, a: int, max_iter: int = 4000) -> FitResult:
     omega > 0, alpha_i, beta_j >= 0 and sum(alpha)+sum(beta) < 1 hold by
     construction. Pre-sample squared errors and variances are pinned at the
     sample variance.
+
+    The NLL is minimized by BFGS on its analytic score (``_garch_nll_score``)
+    from several persistence splits, keeping the best optimum; ``max_iter``
+    bounds each BFGS run. A run converges when the largest score component
+    falls below 1e-6 (``gtol``): at 1e-7, 13 of 400 seeded fits (4 orders,
+    n = 200) kept a run that ended in a line-search precision loss with the
+    score already between 1.0e-7 and 5.2e-7, so the line search cannot
+    resolve a tighter optimum. The fit counts as converged when some start
+    converged to within 1e-9 of the kept NLL, so a start that ends in a
+    precision loss at an optimum that another start confirms raises no
+    ``non_convergence`` flag. ``iterations`` is the number of BFGS iterations
+    summed over the starts.
 
     The returned ``residuals`` are the standardized residuals e_t / s_t;
     ``conditional_sd`` holds s_t and ``garch_eps`` the input series.
@@ -318,38 +365,33 @@ def fit_garch_qmle(series, b: int, a: int, max_iter: int = 4000) -> FitResult:
 
     padded = np.concatenate((np.full(b, v0), eps2))
 
-    def negloglik(x: np.ndarray) -> float:
-        omega, alpha, beta = _unpack_garch(x, b, a)
-        sig2 = _garch_variances(padded, omega, alpha, beta, v0)
-        val = 0.5 * float(np.sum(np.log(sig2) + eps2 / sig2))
-        return val if np.isfinite(val) else 1e300
-
-    # The transformed likelihood can trap a single simplex run in a curved
-    # alpha/beta trade-off valley, so several persistence splits are tried and
-    # the best optimum kept.
+    # The transformed likelihood has a curved alpha/beta trade-off valley, so
+    # several persistence splits are tried and the best optimum kept.
     if a:
         start_splits = [(0.3, 0.4), (0.05, 0.85), (0.45, 0.1), (0.1, 0.2)]
     else:
         start_splits = [(0.3, 0.0), (0.1, 0.0)]
-    res = None
-    iterations = 0
+    trials = []
     for alpha_mass, beta_mass in start_splits:
         start_alpha = np.full(b, alpha_mass / b) if b else np.empty(0)
         start_beta = np.full(a, beta_mass / a) if a else np.empty(0)
         persistence = alpha_mass + beta_mass
         x0 = _pack_garch(v0 * (1.0 - persistence), start_alpha, start_beta)
-        trial = minimize(
-            negloglik,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": max_iter, "maxfev": 4 * max_iter},
+        trials.append(
+            minimize(
+                _garch_nll_score,
+                x0,
+                args=(padded, eps2, v0, b, a),
+                method="BFGS",
+                jac=True,
+                options={"gtol": 1e-6, "maxiter": max_iter},
+            )
         )
-        iterations += int(trial.nit)
-        if res is None or trial.fun < res.fun:
-            res = trial
+    res = min(trials, key=lambda trial: trial.fun)
+    converged = any(trial.success and trial.fun - res.fun <= 1e-9 for trial in trials)
     omega, alpha, beta = _unpack_garch(res.x, b, a)
     flags = []
-    if not res.success:
+    if not converged:
         flags.append("non_convergence")
     if alpha.sum() + beta.sum() > 1.0 - 1e-6:
         flags.append("boundary_estimate")
@@ -363,8 +405,8 @@ def fit_garch_qmle(series, b: int, a: int, max_iter: int = 4000) -> FitResult:
         residuals=make_residual_series(eps / sd),
         loglik=loglik,
         aic=float(-2.0 * loglik + 2.0 * (1 + b + a)),
-        converged=bool(res.success),
-        iterations=iterations,
+        converged=converged,
+        iterations=sum(int(trial.nit) for trial in trials),
         conditional_sd=sd,
         garch_eps=eps,
         flags=tuple(flags),

@@ -357,8 +357,8 @@ def _from_dict(cls, d, context: str):
 
     Unknown keys are rejected and a missing key takes the field's default, so
     the config shares its defaults with the constructor. A present value is
-    converted to the type of the field's default: a tuple element by element to
-    float, a nested dataclass from its own dict, anything else by
+    converted to the type of the field's default: a tuple element by element as
+    a float, a nested dataclass from its own dict, anything else by
     :func:`_convert`. A field without a default holds a model of any kind; a
     model's ``kind`` tag picks its class, which must be ``cls`` when ``cls`` is
     a model class. A value that does not convert raises :class:`ConfigError`.
@@ -391,7 +391,7 @@ def _from_dict(cls, d, context: str):
             if isinstance(default, tuple):
                 if not isinstance(value, (list, tuple)):
                     raise TypeError(f"expected a list, got {type(value).__name__}")
-                values[f.name] = tuple(float(x) for x in value)
+                values[f.name] = tuple(_convert(0.0, x) for x in value)
             else:
                 values[f.name] = _convert(default, value)
         except (TypeError, ValueError) as exc:
@@ -402,19 +402,25 @@ def _from_dict(cls, d, context: str):
 def _convert(default, value):
     """``value`` as a config value of ``default``'s type, without losing information.
 
-    A bool takes only a JSON boolean and an int only an integral number that
-    is not a boolean; any other type converts with its constructor, so a float
-    takes an int. Raises TypeError or ValueError.
+    A bool takes only a JSON boolean, an int only an integral number and a
+    float only a number (so an int too), a boolean counting as no number; any
+    other type converts with its constructor. Raises TypeError or ValueError.
     """
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise TypeError(f"expected true or false, got {value!r}")
         return value
+    if isinstance(default, (int, float)) and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise TypeError(f"expected a number, got {value!r}")
     if isinstance(default, int):
-        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-        if isinstance(value, bool) or not integral:
+        if not isinstance(value, int) and not value.is_integer():
             raise TypeError(f"expected an integer, got {value!r}")
         return int(value)
+    if isinstance(default, float):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError("integer too large for a float") from None
     return type(default)(value)
 
 

@@ -332,6 +332,9 @@ MALFORMED_MODELS = {
     "arma_garch_arma_is_garch": {"model": {"kind": "arma_garch", "arma": _GARCH, "garch": _GARCH}},
     "string_float": {"model": {"kind": "tar", "c": "abc"}},
     "string_in_tuple": {"model": {"kind": "arma", "phi": ["x"]}},
+    "bool_float": {"model": {"kind": "arma", "mu": True}},
+    "bool_in_tuple": {"model": {"kind": "arma", "phi": [True]}},
+    "numeric_string_float": {"model": {"kind": "garch", "omega": "0.5"}},
     "scalar_tuple": {"model": {"kind": "arma", "phi": 0.5}},
     "model_not_an_object": {"model": "arma"},
     "innovation_not_an_object": {"model": {"kind": "arma"}, "innovation": "normal"},

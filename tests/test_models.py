@@ -330,3 +330,22 @@ class TestLosslessConversion:
         )
         assert spec_from_dict({"model": {"kind": "bilinear", "model_id": 3}}).model.model_id == 3
         assert spec_from_dict({"model": {"kind": "garch", "omega": 1}}).model.omega == 1.0
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ({"kind": "arma", "mu": True}, "mu"),
+            ({"kind": "arma", "phi": [True]}, "phi"),
+            ({"kind": "garch", "omega": "0.5"}, "omega"),
+            ({"kind": "arma", "mu": 10**400}, "mu"),
+        ],
+        ids=["bool_float", "bool_in_tuple", "string_float", "huge_int_float"],
+    )
+    def test_float_field_takes_only_a_json_number(self, model, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            spec_from_dict({"model": model})
+
+    def test_float_fields_keep_numbers(self):
+        spec = spec_from_dict({"model": {"kind": "arma", "phi": [0.5, -0.25], "theta": [0], "mu": -2}})
+        assert spec.model == Arma(phi=(0.5, -0.25), theta=(0.0,), mu=-2.0)
+        assert all(type(v) is float for v in (*spec.model.phi, *spec.model.theta, spec.model.mu))
