@@ -5,15 +5,16 @@ bitwise-identical output regardless of where or how often they run. Burn-in
 samples are generated and discarded so the retained path is effectively
 stationary.
 
-Each model class draws its innovations and runs its own recursion in
-``_path``, and ``_MODEL_TAGS`` names it in configs. The JSON codec
+Each model class simulates a block of replicates at once in ``_paths``: row r
+draws its innovations from its own generator and runs the model's recursion,
+and equals, bit for bit, the path that generator gives as a block of one.
+``_MODEL_TAGS`` names each class in configs. The JSON codec
 (``_to_dict``/``_from_dict``) reads and writes every spec from its dataclass
 fields, so a new model family is one class plus one tag.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -60,6 +61,11 @@ class Innovation:
         return (z - mean) / sd
 
 
+def _draws(innovation: Innovation, rngs, total: int) -> np.ndarray:
+    """(len(rngs), total) innovations, row r drawn from ``rngs[r]``."""
+    return np.stack([innovation.draw(rng, total) for rng in rngs])
+
+
 def _check_roots(coeffs, error: type[Exception], label: str) -> None:
     """Raise ``error`` unless 1 - a1 z - ... - ap z^p has every root beyond 1 + 1e-10 in modulus."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -98,12 +104,13 @@ class Arma:
                     raise InvalidSpec("autoregressive and moving-average polynomials share a root")
 
     def _filter(self, eps: np.ndarray) -> np.ndarray:
+        """The ARMA recursion along each row of ``eps``; one call filters each row as a lone one."""
         b = np.concatenate(([1.0], np.asarray(self.theta, dtype=float)))
         a = np.concatenate(([1.0], -np.asarray(self.phi, dtype=float)))
-        return self.mu + lfilter(b, a, eps)
+        return self.mu + lfilter(b, a, eps, axis=1)
 
-    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
-        return self._filter(innovation.draw(rng, total))
+    def _paths(self, innovation: Innovation, rngs, total: int) -> np.ndarray:
+        return self._filter(_draws(innovation, rngs, total))
 
 
 @dataclass(frozen=True)
@@ -134,33 +141,43 @@ class Garch:
     def unconditional_variance(self) -> float:
         return self.omega / (1.0 - sum(self.alpha) - sum(self.beta))
 
-    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
-        xi = innovation.draw(rng, total)
-        b, a = self.b, self.a
-        alpha = np.asarray(self.alpha, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
-        v0 = self.unconditional_variance
-        # Lag histories, newest first, shifted in place. The dot products stay
-        # ndarray ones: BLAS may fuse the multiply-add, and a plain-float sum
-        # would round differently and change seeded paths.
-        eps2 = np.full(b, v0)
-        sig2_hist = np.full(a, v0)
-        eps = np.empty(xi.size)
-        for t, x in enumerate(xi.tolist()):
-            s2 = self.omega
-            if b:
-                s2 += float(alpha @ eps2)
-            if a:
-                s2 += float(beta @ sig2_hist)
-            e = math.sqrt(s2) * x
-            eps[t] = e
-            if b:
-                eps2[1:] = eps2[:-1]
-                eps2[0] = e * e
-            if a:
-                sig2_hist[1:] = sig2_hist[:-1]
-                sig2_hist[0] = s2
-        return eps
+    def _paths(self, innovation: Innovation, rngs, total: int) -> np.ndarray:
+        xi = _draws(innovation, rngs, total).T.copy()  # step t reads one contiguous row
+        rows = xi.shape[1]
+        # Channel 0 of each row's history holds e^2 and channel 1, for a > 0,
+        # s^2. Both run backwards in time: column total - 1 - t holds step t
+        # and the last k columns the pre-sample v0, so the lags of step t,
+        # newest first, are the k columns from total - t. One stacked matmul of
+        # (1, k) windows by (k, 1) coefficients per row and channel, zero-padded
+        # to k lags, gives both dots: numpy hands each to BLAS ddot, so a row
+        # rounds as a lone path's ndarray dot does (ddot fuses the multiply-add,
+        # and a padded zero adds an exact 0). A plain (rows, k) @ (k,) product,
+        # einsum or a float sum rounds differently.
+        lags = (self.alpha, self.beta) if self.a else (self.alpha,)
+        k = max(map(len, lags))
+        coef = np.zeros((len(lags), k, 1))
+        for j, c in enumerate(lags):
+            coef[j, : len(c), 0] = c
+        hist = np.full((rows, len(lags), 1, total + k), self.unconditional_variance)
+        e2_hist, s2_hist = hist[:, 0, 0], hist[:, -1, 0]
+        dots = np.empty((rows, len(lags), 1, 1))
+        alpha_dot, beta_dot = dots[:, 0, 0, 0], dots[:, -1, 0, 0]
+        eps = np.empty_like(xi)
+        s2 = np.empty(rows)
+        omega, garch = self.omega, bool(self.a)
+        for t in range(total):
+            c = total - t
+            np.matmul(hist[:, :, :, c : c + k], coef, dots)
+            if garch:
+                s2 = s2_hist[:, c - 1]
+            np.add(omega, alpha_dot, s2)
+            if garch:
+                s2 += beta_dot
+            e = eps[t]
+            np.sqrt(s2, e)
+            e *= xi[t]
+            np.multiply(e, e, e2_hist[:, c - 1])
+        return np.ascontiguousarray(eps.T)
 
 
 @dataclass(frozen=True)
@@ -174,8 +191,8 @@ class ArmaGarch:
         self.arma.validate()
         self.garch.validate()
 
-    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
-        return self.arma._filter(self.garch._path(innovation, rng, total))
+    def _paths(self, innovation: Innovation, rngs, total: int) -> np.ndarray:
+        return self.arma._filter(self.garch._paths(innovation, rngs, total))
 
 
 @dataclass(frozen=True)
@@ -192,17 +209,19 @@ class Tar:
     def validate(self) -> None:
         pass
 
-    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
-        eps = innovation.draw(rng, total)
-        z = np.empty(total)
+    def _paths(self, innovation: Innovation, rngs, total: int) -> np.ndarray:
+        return np.array([self._recursion(eps) for eps in _draws(innovation, rngs, total).tolist()])
+
+    def _recursion(self, eps: list) -> list:
+        """One row, over its innovations in place, in Python floats: they round
+        as float64 scalars do, at a third of the cost."""
+        lower, upper, c = (self.phi0_lower, self.phi1_lower), (self.phi0_upper, self.phi1_upper), self.c
         prev = 0.0
-        for t in range(total):
-            if prev <= self.c:
-                prev = self.phi0_lower + self.phi1_lower * prev + eps[t]
-            else:
-                prev = self.phi0_upper + self.phi1_upper * prev + eps[t]
-            z[t] = prev
-        return z
+        for t, e in enumerate(eps):
+            phi0, phi1 = lower if prev <= c else upper
+            prev = phi0 + phi1 * prev + e
+            eps[t] = prev
+        return eps
 
 
 @dataclass(frozen=True)
@@ -216,15 +235,19 @@ class Star:
     def validate(self) -> None:
         pass
 
-    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
-        eps = innovation.draw(rng, total)
-        z = np.empty(total)
+    def _paths(self, innovation: Innovation, rngs, total: int) -> np.ndarray:
+        return np.array([self._recursion(eps) for eps in _draws(innovation, rngs, total).tolist()])
+
+    def _recursion(self, eps: list) -> list:
+        """One row, over its innovations in place. Row by row, numpy's scalar
+        exp keeps each step's bits at a tenth of the cost of a step over all
+        rows of a block of one."""
         prev = 0.0
-        for t in range(total):
+        for t, e in enumerate(eps):
             f = 1.0 / (1.0 + np.exp(-prev))
-            prev = self.lower_coeff * prev * (1.0 - f) + self.upper_coeff * prev * f + eps[t]
-            z[t] = prev
-        return z
+            prev = self.lower_coeff * prev * (1.0 - f) + self.upper_coeff * prev * f + e
+            eps[t] = prev
+        return eps
 
 
 @dataclass(frozen=True)
@@ -237,10 +260,12 @@ class Sqar:
         if abs(self.latent_phi) >= 1.0:
             raise InvalidSpec("latent autoregressive coefficient must be inside the unit circle")
 
-    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
-        eps = innovation.draw(rng, total)
-        nu = innovation.draw(rng, total)
-        y = lfilter([1.0], [1.0, -self.latent_phi], nu)
+    def _paths(self, innovation: Innovation, rngs, total: int) -> np.ndarray:
+        eps, nu = np.empty((2, len(rngs), total))
+        for r, rng in enumerate(rngs):
+            eps[r] = innovation.draw(rng, total)
+            nu[r] = innovation.draw(rng, total)
+        y = lfilter([1.0], [1.0, -self.latent_phi], nu, axis=1)
         return y * y + eps
 
 
@@ -254,28 +279,38 @@ class Bilinear:
         if self.model_id not in range(1, 9):
             raise InvalidSpec(f"bilinear model_id must be in 1..8, got {self.model_id}")
 
-    def _path(self, innovation: Innovation, rng: np.random.Generator, total: int) -> np.ndarray:
-        e = innovation.draw(rng, total)
-        z = np.zeros(total)
+    def _paths(self, innovation: Innovation, rngs, total: int) -> np.ndarray:
+        draws = _draws(innovation, rngs, total)
+        if self.model_id in (3, 4, 5, 6):
+            return np.array([self._recursion(e) for e in draws.tolist()])
+        # Time runs along axis 0, so each slice below covers every row.
+        e = draws.T
+        z = np.zeros_like(e)
         model_id = self.model_id
         if model_id == 1:
             z[2:] = e[2:] - 0.4 * e[1:-1] + 0.3 * e[:-2] + 0.5 * e[2:] * e[:-2]
         elif model_id == 2:
             z[2:] = e[2:] - 0.3 * e[1:-1] + 0.2 * e[:-2] + 0.4 * e[2:] * e[:-2] - 0.25 * e[:-2] ** 2
-        elif model_id == 3:
-            for t in range(2, total):
-                z[t] = 0.4 * z[t - 1] - 0.3 * z[t - 2] + 0.5 * z[t - 1] * e[t - 1] + e[t]
-        elif model_id in (4, 5):
-            # (.8 + .5 z_{t-1}) e_{t-1} + e_t expands to the model-4 recursion.
-            for t in range(2, total):
-                z[t] = 0.4 * z[t - 1] - 0.3 * z[t - 2] + 0.5 * z[t - 1] * e[t - 1] + 0.8 * e[t - 1] + e[t]
-        elif model_id == 6:
-            for t in range(1, total):
-                z[t] = 0.5 - (0.4 - 0.4 * e[t - 1]) * z[t - 1] + e[t]
         elif model_id == 7:
             z[2:] = 0.8 * e[:-2] ** 2 + e[2:]
         else:  # 8; validate() admits 1..8 only
             z[2:] = e[2:] + 0.3 * e[1:-1] + (0.2 + 0.4 * e[1:-1] - 0.25 * e[:-2]) * e[:-2]
+        return np.ascontiguousarray(z.T)
+
+    def _recursion(self, e: list) -> list:
+        """One row of a recursive model (3 to 6), in Python floats, which round as float64 scalars do."""
+        total = len(e)
+        z = [0.0] * total
+        if self.model_id == 3:
+            for t in range(2, total):
+                z[t] = 0.4 * z[t - 1] - 0.3 * z[t - 2] + 0.5 * z[t - 1] * e[t - 1] + e[t]
+        elif self.model_id in (4, 5):
+            # (.8 + .5 z_{t-1}) e_{t-1} + e_t expands to the model-4 recursion.
+            for t in range(2, total):
+                z[t] = 0.4 * z[t - 1] - 0.3 * z[t - 2] + 0.5 * z[t - 1] * e[t - 1] + 0.8 * e[t - 1] + e[t]
+        else:
+            for t in range(1, total):
+                z[t] = 0.5 - (0.4 - 0.4 * e[t - 1]) * z[t - 1] + e[t]
         return z
 
 
@@ -295,28 +330,31 @@ class ModelSpec:
 
 
 def simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
-    """Generate n observations from the spec, deterministically in (spec, n, seed)."""
+    """Generate n observations from the spec, deterministically in (spec, n, seed).
+
+    The path is the block of one seed; raises :class:`NonFinite` when it overflows.
+    """
     spec.validate()
-    return _simulate(spec, n, seed)
+    paths, finite = _simulate_block(spec, n, [seed])
+    if not finite[0]:
+        raise NonFinite("simulated path overflowed; check the model parameters")
+    return paths[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
-    """:func:`simulate` for a spec that has already been validated.
+def _simulate_block(spec: ModelSpec, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The (len(seeds), n) paths of a validated spec, one row per seed, and which rows are finite.
 
-    Each model draws its innovations from ``rng`` and runs its own recursion
-    in ``_path``. Raises :class:`NonFinite` when the path overflows; the
-    recursion runs with numpy's overflow warnings off, so that error is what
-    reports it.
+    Row r is, bit for bit, the path ``seeds[r]`` gives alone. The model's
+    ``_paths`` draws each row from that seed's own generator. The recursion
+    runs with numpy's overflow warnings off: a row that overflows is reported
+    by its ``False`` in the second array, and leaves the other rows as they are.
     """
     if n < _MIN_LENGTH:
         raise InvalidSpec(f"need n >= {_MIN_LENGTH}, got {n}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1)))
-    z = spec.model._path(spec.innovation, rng, spec.burn_in + n)
-    out = z[spec.burn_in :]
-    if not np.all(np.isfinite(out)):
-        raise NonFinite("simulated path overflowed; check the model parameters")
-    return out
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1))) for seed in seeds]
+    paths = spec.model._paths(spec.innovation, rngs, spec.burn_in + n)[:, spec.burn_in :]
+    return paths, np.isfinite(paths).all(axis=1)
 
 
 # ---------------------------------------------------------------------------

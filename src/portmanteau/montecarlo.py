@@ -23,14 +23,16 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import ALL_STATISTICS, TestReport, evaluate_statistics, null_distribution
-from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, NonFinite, NonPositiveDf, PortmanteauError
+from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, NonPositiveDf, PortmanteauError
 from .fitting import FitResult, fit_ar, fit_ar_garch, fit_arma_css, fit_garch_qmle, select_ar_order_aic
 from .models import (
-    _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _convert, _from_dict, _simulate, _to_dict, spec_from_dict,
+    _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _convert, _from_dict, _simulate_block, _to_dict, spec_from_dict,
 )
 from .residuals import LagCorrelations
 
 CONFIG_SCHEMA_VERSION = 1
+# Replicates simulated together, as the rows of one block of paths.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -304,6 +306,11 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
     """(rejection counts, degenerate evaluations, simulation failures, fit
     failures) for replicates [start, stop); the deterministic kernel.
 
+    Consecutive replicates are simulated ``_BLOCK`` at a time, each n as one
+    block of paths whose row r is, bit for bit, the path of replicate r's seed
+    alone; then each row is fitted and tested. So the counts, integer sums,
+    depend neither on the block size nor on how [start, stop) is split.
+
     ``exp`` must already be validated: the generator spec is not checked again
     for each replicate.
     """
@@ -313,24 +320,22 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
     degenerate = 0
     sim_failures = 0
     failures = 0
-    for rep in range(start, stop):
-        seed = replicate_seed(exp.master_seed, rep)
+    for first in range(start, stop, _BLOCK):
+        seeds = [replicate_seed(exp.master_seed, rep) for rep in range(first, min(first + _BLOCK, stop))]
         for ni, n in enumerate(exp.n_list):
-            try:
-                z = _simulate(exp.generator, n, seed)
-            except NonFinite:
-                sim_failures += 1
-                continue
-            try:
-                fit = fit_series(z, exp.fitter, exp.generator)
-            except PortmanteauError:
-                failures += 1
-                continue
-            for mi, reports in enumerate(evaluate_fit(fit, stats, exp.m_list)):
-                for si, name in enumerate(stats):
-                    report = reports[name]
-                    degenerate += report.degenerate
-                    counts[si, ni, mi] += report.p_value < levels
+            paths, finite = _simulate_block(exp.generator, n, seeds)
+            sim_failures += int(np.count_nonzero(~finite))
+            for z in paths[finite]:
+                try:
+                    fit = fit_series(z, exp.fitter, exp.generator)
+                except PortmanteauError:
+                    failures += 1
+                    continue
+                for mi, reports in enumerate(evaluate_fit(fit, stats, exp.m_list)):
+                    for si, name in enumerate(stats):
+                        report = reports[name]
+                        degenerate += report.degenerate
+                        counts[si, ni, mi] += report.p_value < levels
     return counts, degenerate, sim_failures, failures
 
 

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portmanteau import Arma, Experiment, FitterSpec, ModelSpec, Tar, fit_series
+from portmanteau import Arma, ArmaGarch, Experiment, FitterSpec, Garch, ModelSpec, Tar, fit_series
 from portmanteau.montecarlo import _run_replicates
 
 REPLICATIONS = 12
@@ -24,6 +24,10 @@ EXPERIMENTS = {
         ("none", ModelSpec(model=Tar(phi1_lower=-0.9, phi1_upper=0.5), burn_in=50)),
         ("ar", ModelSpec(model=Tar(phi1_lower=-0.9, phi1_upper=0.5), burn_in=50)),
         ("true", ModelSpec(model=Arma(phi=(0.4, -0.2)), burn_in=50)),
+        (
+            "ar_garch",
+            ModelSpec(model=ArmaGarch(arma=Arma(phi=(0.2,)), garch=Garch(omega=0.2, alpha=(0.2, 0.2))), burn_in=50),
+        ),
     )
 }
 for _exp in EXPERIMENTS.values():

@@ -1,5 +1,7 @@
 """Estimation routines: AR least squares, ARMA CSS, GARCH QMLE."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from portmanteau import (
     select_ar_order_aic,
     simulate,
 )
-from portmanteau.errors import InvalidSpec, SingularDesign
+from portmanteau.errors import InvalidSpec, NonFinite, SingularDesign
 from portmanteau.fitting import _log_normaliser, _reflect_ma_roots, _unpack_garch
 
 
@@ -184,6 +186,28 @@ class TestGarchQmle:
     def test_orders_required(self):
         with pytest.raises(InvalidSpec):
             fit_garch_qmle(np.random.default_rng(14).standard_normal(100), 0, 0)
+
+    def test_unconverged_screened_run_brings_in_the_other_splits(self):
+        # On these AR(1) residuals of an AR(1)-ARCH(2) path the better ARCH(1)
+        # split's run ends in a line-search precision loss at the optimum the
+        # other split's run converges to.
+        spec = ModelSpec(model=ArmaGarch(arma=Arma(phi=(0.2,)), garch=Garch(omega=0.2, alpha=(0.2, 0.2))))
+        fit = fit_ar_garch(simulate(spec, 200, 4756004963084405424), 1, 1, 0, intercept=False)
+        assert fit.converged
+        assert fit.flags == ()
+
+    def test_series_whose_squares_overflow_is_non_finite(self):
+        z = simulate(ModelSpec(model=Garch(omega=0.2, alpha=(0.4,))), 200, 15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                fit_garch_qmle(z * 1e160, 1, 0)
+            large = fit_garch_qmle(z * 1e100, 1, 0)
+        fit = fit_garch_qmle(z, 1, 0)
+        assert large.converged and large.flags == fit.flags
+        assert large.loglik + z.size * np.log(1e100) == pytest.approx(fit.loglik, abs=1e-6)
+        assert large.params["omega"] / 1e200 == pytest.approx(fit.params["omega"], rel=1e-5)
+        assert large.params["alpha"][0] == pytest.approx(fit.params["alpha"][0], rel=1e-5)
 
 
 _SUBNORMALS = (5e-324, -5e-324, 1e-310, -2.2e-308)
