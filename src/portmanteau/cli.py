@@ -16,12 +16,12 @@ import sys
 
 import numpy as np
 
-from .corrmat import _check_order
-from .diagnostics import ALL_STATISTICS
-from .errors import ConfigError, CsvFormatError, InvalidSpec, LagTooLarge, NonFinite, PortmanteauError
+from .errors import ConfigError, CsvFormatError, InvalidSpec, NonFinite, PortmanteauError
 from .fitting import FitResult
 from .models import simulate, spec_from_dict
-from .montecarlo import FitterSpec, check_nulls, evaluate_fit, experiment_from_dict, fit_series, run_experiment
+from .montecarlo import (
+    _FITTERS, FitterSpec, check_statistics, evaluate_fit, experiment_from_dict, fit_series, run_experiment,
+)
 
 DEFAULT_TEST_STATS = ("Cm", "Q12", "Dt22", "Q22", "Qw22", "Mw22", "Lb", "Lbw")
 
@@ -88,18 +88,24 @@ def read_returns_csv(path) -> np.ndarray:
 
 
 def parse_fit_spec(text: str) -> FitterSpec:
-    """Parse the --fit mini-language.
+    """Parse the --fit mini-language into a validated fitter.
 
     Accepted forms: none | ar:P | ar:aic | arma:P,Q | arch:B | garch:B,A |
     ar:P+arch:B | ar:P+garch:B,A.
     """
+    fitter = _parse_fit_spec(text)
+    fitter.validate()
+    return fitter
+
+
+def _parse_fit_spec(text: str) -> FitterSpec:
     text = text.strip().lower()
     if text in ("", "none"):
         return FitterSpec(kind="none")
     if "+" in text:
         mean_part, var_part = text.split("+", 1)
-        mean = parse_fit_spec(mean_part)
-        var = parse_fit_spec(var_part)
+        mean = _parse_fit_spec(mean_part)
+        var = _parse_fit_spec(var_part)
         if mean.kind != "ar" or var.kind != "garch":
             raise ConfigError(f"composite fit must be ar:P+arch:B or ar:P+garch:B,A, got {text!r}")
         return FitterSpec(kind="ar_garch", p=mean.p, b=var.b, a=var.a)
@@ -212,31 +218,18 @@ def _cmd_test(args) -> int:
         lags = [int(part) for part in args.lags.split(",") if part]
     except ValueError:
         raise ConfigError(f"--lags must list integers, got {args.lags!r}") from None
-    if not lags:
-        raise ConfigError("--lags must list at least one lag order")
-    explicit = args.stats != "default"
-    if explicit:
+    if args.stats != "default":
         names = [s.strip() for s in args.stats.split(",") if s.strip()]
-    else:
+    elif _FITTERS[fitter.kind].variances:
         names = list(DEFAULT_TEST_STATS)
-    for name in names:
-        if name not in ALL_STATISTICS:
-            raise ConfigError(f"unknown statistic {name!r}; choose from {', '.join(ALL_STATISTICS)}")
+    else:
+        names = [n for n in DEFAULT_TEST_STATS if n not in ("Lb", "Lbw")]
+    check_statistics(fitter, names, lags, (len(z),))
     try:
         fit = fit_series(z, fitter)
     except PortmanteauError as exc:
         _log(f"fit failed: {exc}")
         return 3
-    for m in lags:
-        try:
-            _check_order(fit.residuals.n, m)
-        except LagTooLarge as exc:
-            raise ConfigError(f"--lags: {exc}") from None
-    if fit.conditional_sd is None:
-        if explicit and any(n in ("Lb", "Lbw") for n in names):
-            raise ConfigError("Lb/Lbw require a conditional-variance fit (arch or garch)")
-        names = [n for n in names if n not in ("Lb", "Lbw")]
-    check_nulls(names, lags, fit.order_correction, fit.garch_orders)
     rows = []
     for m, reports in zip(lags, evaluate_fit(fit, names, lags)):
         for name in names:

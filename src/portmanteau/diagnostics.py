@@ -205,6 +205,8 @@ def _triangular_moments(m: int, correction: int, over: str) -> tuple[float, floa
     over = "m+1": weights (m+1-k)/(m+1), k = 1..m (log-determinant statistics).
     over = "m":   weights (m-k+1)/m,     k = 1..m (weighted Q/M statistics).
     """
+    if m < 1:
+        raise InvalidOrder(f"lag order m = {m} must be >= 1")
     if over == "m+1":
         s1 = m / 2.0
         s2 = m * (2.0 * m + 1.0) / (6.0 * (m + 1.0))

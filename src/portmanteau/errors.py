@@ -76,10 +76,6 @@ class SingularDesign(PortmanteauError):
     """Least-squares design matrix is rank deficient."""
 
 
-class FitError(PortmanteauError):
-    """Estimation failed in a way that makes the fit unusable."""
-
-
 class EmptySample(PortmanteauError):
     """An empty collection was passed where at least one element is required."""
 

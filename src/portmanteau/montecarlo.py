@@ -5,9 +5,10 @@ result of an experiment is independent of the worker count and of scheduling:
 per-cell rejection counts are integers and their summation order cannot change
 the table.
 
-Each fitter kind is one row of ``_FITTERS``, which every use of the kind reads,
-and ``evaluate_fit`` is the one step from a fit to its statistics, shared with
-the ``test`` command.
+Each fitter kind is one row of ``_FITTERS``, which every use of the kind reads.
+``check_statistics`` is the one check of a request's statistics and lag orders,
+and ``evaluate_fit`` the one step from a fit to its statistics; the ``test``
+command shares both.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from .corrmat import _check_order
 from .diagnostics import ALL_STATISTICS, TestReport, evaluate_statistics, null_distribution
-from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, NonPositiveDf, PortmanteauError
+from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, LagTooLarge, NonPositiveDf, PortmanteauError
 from .fitting import FitResult, fit_ar, fit_ar_garch, fit_arma_css, fit_garch_qmle, select_ar_order_aic
 from .models import (
     _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _convert, _from_dict, _simulate_block, _to_dict, spec_from_dict,
@@ -82,11 +84,6 @@ class FitterSpec:
             raise InvalidSpec("true-model fitting needs the generator spec")
         return replace(_true_fitter_for(generator), intercept=self.intercept)
 
-    def lost_rows(self, generator: ModelSpec | None) -> int:
-        """Rows the fit drops from the front of the series (the most it can drop, for ar_aic)."""
-        fitter = self.resolve(generator)
-        return _FITTERS[fitter.kind].lost_rows(fitter)
-
 
 @dataclass(frozen=True)
 class _Fitter:
@@ -140,36 +137,20 @@ class Experiment:
     master_seed: int = 0
 
     def validate(self) -> None:
-        """Reject an experiment that cannot run, before its first replicate.
-
-        Every statistic needs a null distribution at every m under the largest
-        order correction the fitter's fits can carry, the worst case of every
-        null. A fitter that rejects every n of the grid is exempt: its
-        replicates are all counted fit failures, and none is tested.
-        """
+        """Reject an experiment that cannot run, before its first replicate."""
         self.generator.validate()
         fitter = self.fitter.resolve(self.generator)
         fitter.validate()
         if self.replications < 1:
             raise InvalidSpec("need at least one replication")
-        if not self.n_list or not self.m_list or not self.levels or not self.statistics:
-            raise InvalidSpec("n_list, m_list, levels and statistics must be non-empty")
+        if not self.n_list or not self.levels:
+            raise InvalidSpec("n_list and levels must be non-empty")
         if min(self.n_list) < _MIN_LENGTH:
             raise InvalidSpec(f"every n must be at least {_MIN_LENGTH}, got {min(self.n_list)}")
-        # the statistics see the fit's residuals, which can be shorter than n
-        n_resid = min(self.n_list) - self.fitter.lost_rows(self.generator)
-        if max(self.m_list) >= n_resid / 2:
-            raise InvalidSpec(f"every m must be below half the shortest residual series ({n_resid} values)")
-        for name in self.statistics:
-            if name not in ALL_STATISTICS:
-                raise InvalidSpec(f"unknown statistic {name!r}")
         for level in self.levels:
             if not 0.0 < level < 1.0:
                 raise InvalidSpec(f"levels must lie strictly in (0, 1), got {level}")
-        kind = _FITTERS[fitter.kind]
-        if any(kind.accepts(fitter, n) for n in self.n_list):
-            garch_orders = (fitter.b, fitter.a) if kind.variances else None
-            check_nulls(self.statistics, self.m_list, kind.max_correction(fitter), garch_orders)
+        check_statistics(fitter, self.statistics, self.m_list, self.n_list)
 
 
 @dataclass
@@ -269,18 +250,37 @@ def fit_series(z: np.ndarray, fitter: FitterSpec, generator: ModelSpec | None = 
     return _FITTERS[fitter.kind].fit(z, fitter)
 
 
-def check_nulls(statistics, m_list, order_correction: int, garch_orders: tuple[int, int] | None) -> None:
-    """Raise :class:`InvalidSpec` unless every statistic has a null at every m.
+def check_statistics(fitter: FitterSpec, statistics, m_list, n_list) -> None:
+    """Raise :class:`InvalidSpec` unless every statistic can be tested at every m.
 
-    ``garch_orders`` is None for a fit without conditional variances, which
-    the Lb family cannot use.
+    ``fitter`` is resolved and validated. Every m must satisfy 1 <= m < n/2 on
+    the shortest residual series the fitter can leave, and every statistic
+    needs a null distribution at every m under the largest order correction
+    the fitter's fits can carry, the worst case of every null. A fitter that
+    rejects every n is exempt from the null check: all its fits fail, and
+    none is tested.
     """
+    if not statistics or not m_list:
+        raise InvalidSpec("the statistics and the lag orders m must be non-empty")
+    kind = _FITTERS[fitter.kind]
     for name in statistics:
-        if garch_orders is None and name in ("Lb", "Lbw"):
+        if name not in ALL_STATISTICS:
+            raise InvalidSpec(f"unknown statistic {name!r}; choose from {', '.join(ALL_STATISTICS)}")
+        if name in ("Lb", "Lbw") and not kind.variances:
             raise InvalidSpec(f"{name} requires a fit with conditional variances (garch or ar_garch)")
+    n_resid = min(n_list) - kind.lost_rows(fitter)
+    for m in m_list:
+        try:
+            _check_order(n_resid, m)
+        except LagTooLarge as exc:
+            raise InvalidSpec(f"{exc}, the shortest residual series") from None
+    if not any(kind.accepts(fitter, n) for n in n_list):
+        return
+    garch_orders = (fitter.b, fitter.a) if kind.variances else (0, 0)
+    for name in statistics:
         for m in m_list:
             try:
-                null_distribution(name, m, order_correction, garch_orders or (0, 0))
+                null_distribution(name, m, kind.max_correction(fitter), garch_orders)
             except (NonPositiveDf, InvalidOrder) as exc:
                 raise InvalidSpec(f"{name} has no null distribution at m = {m}: {exc}") from None
 

@@ -363,7 +363,18 @@ MALFORMED_EXPERIMENTS = {
     "Lb_after_ar_fit": _experiment(statistics=["Cm", "Lb"]),
     "lossy_bool": _experiment(fitter={"kind": "ar", "intercept": "false"}),
     "lossy_int": _experiment(fitter={"kind": "ar", "p": 1.9}),
+    "m_zero_triangular": _experiment(m=[0], statistics=["Qw11"]),
 }
+
+# fit specs that parse but that no fitter accepts
+MALFORMED_FIT_SPECS = ("ar:-1", "arch:0", "garch:0,0", "arma:-1,0", "ar:1+arch:0")
+
+
+def _returns_csv(tmp_path, capsys):
+    out = tmp_path / "returns.csv"
+    code, _, _ = _run(["simulate", "--model", ARMA_SPEC, "--n", "100", "--out", str(out)], capsys)
+    assert code == 0
+    return str(out)
 
 
 class TestMalformedConfigs:
@@ -388,6 +399,18 @@ class TestMalformedConfigs:
         err = self._check(["mc", "--config", config, "--workers", "1", "--out", str(tmp_path / "x")], capsys)
         assert "running" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("fit", MALFORMED_FIT_SPECS)
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    def test_fit_spec(self, command, fit, tmp_path, capsys):
+        self._check([command, _returns_csv(tmp_path, capsys), "--fit", fit], capsys)
+
+    def test_empty_statistic_list(self, tmp_path, capsys):
+        code, out, err = _run(["test", _returns_csv(tmp_path, capsys), "--stats", ","], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("error:") == 1
+        assert "Traceback" not in err
 
 
 class TestFitCommand:

@@ -32,6 +32,7 @@ from portmanteau import (
     weighted_m,
     weighted_q,
 )
+from portmanteau.diagnostics import null_distribution
 from portmanteau.errors import InvalidOrder, InvalidSpec, LagTooLarge, NonPositiveDf, NonStationary, NonInvertible
 from portmanteau.residuals import CorrSequence
 
@@ -73,6 +74,12 @@ class TestCmGammaParams:
             b = gamma_from_moments(*cm_moment_sums(m, s))
             assert a[0] == pytest.approx(b[0], rel=1e-12)
             assert a[1] == pytest.approx(b[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ALL_STATISTICS)
+def test_no_null_at_m_zero(name):
+    with pytest.raises((InvalidOrder, NonPositiveDf)):
+        null_distribution(name, 0)
 
 
 class TestGammaFromMoments:
