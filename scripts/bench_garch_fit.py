@@ -4,7 +4,10 @@ For each order (b, a) in (1,0), (2,0), (1,1), (2,1) and each n in
 {200, 500, 2000}, simulates SERIES seeded series of the matching GARCH model
 (``MODELS``, those of ``tests/test_golden_garch.py``) and times
 ``fit_garch_qmle`` on each, best of 5 calls. A cell reports the mean over the series of those best
-times, the mean ``iterations`` and the mean log-likelihood.
+times, the mean ``iterations`` and the mean log-likelihood. Its block column,
+``block_ms_per_row``, times the first R of seeds 0..63 fitted as one block
+(``fit_garch_block``, or a loop of ``fit_garch_qmle`` in a tree without it)
+for each R in ``BLOCKS``, best of 5 calls, per row.
 
 Each ``--tree LABEL=SRC`` loads the package found in SRC under its own module
 name, so several trees (say a parent commit's checkout and this one) run in
@@ -43,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (200, 500, 2000)
 SERIES = 3
 REPEAT = 5
+BLOCKS = (1, 8, 64)
 # GARCH(b, a) parameters by order, as in tests/test_golden_garch.py.
 MODELS = {
     (1, 0): {"omega": 0.2, "alpha": (0.4,)},
@@ -79,6 +83,24 @@ def _best_of(calls: list) -> list:
     return best
 
 
+def _fit_block(pkg, rows: np.ndarray, b: int, a: int) -> list:
+    """The tree's fit of a block of series: ``fit_garch_block``, or lone fits where the tree has none."""
+    if hasattr(pkg.fitting, "fit_garch_block"):
+        return pkg.fitting.fit_garch_block(rows, b, a)
+    return [pkg.fit_garch_qmle(z, b, a) for z in rows]
+
+
+def _block_times(packages: dict, params: dict, b: int, a: int, n: int) -> dict:
+    """{label: {R: ms per row}}: the first R of seeds 0..max(BLOCKS)-1 fitted as one block, the trees alternating."""
+    calls = []
+    for pkg in packages.values():
+        spec = pkg.ModelSpec(model=pkg.Garch(**params), burn_in=200)
+        rows = np.array([pkg.simulate(spec, n, seed) for seed in range(max(BLOCKS))])
+        calls += [lambda pkg=pkg, rows=rows[:size]: _fit_block(pkg, rows, b, a) for size in BLOCKS]
+    best = iter(_best_of(calls))
+    return {label: {str(size): round(1e3 * next(best) / size, 3) for size in BLOCKS} for label in packages}
+
+
 def measure(trees: dict) -> dict:
     """One row per tree label: a cell per (order, n), timed with the trees' calls interleaved."""
     packages = {label: _load(label, src) for label, src in trees.items()}
@@ -105,6 +127,8 @@ def measure(trees: dict) -> dict:
                         "loglik_mean": float(np.mean([fit.loglik for fit in fits[label]])),
                     }
                 )
+            for label, per_row in _block_times(packages, params, b, a, n).items():
+                cells[label][-1]["block_ms_per_row"] = per_row
             print(f"GARCH({b},{a}) n={n}: " + ", ".join(f"{label} {cells[label][-1]['ms_per_fit']} ms/fit" for label in trees))
     host = {
         "machine": platform.machine(),
@@ -115,6 +139,7 @@ def measure(trees: dict) -> dict:
     }
     method = (
         f"best of {REPEAT} calls per series, the trees' calls alternating; mean over seeds 0..{SERIES - 1}; "
+        f"block_ms_per_row: best of {REPEAT} calls of a block of the first R of seeds 0..{max(BLOCKS) - 1}, per row; "
         f"burn-in 200; one BLAS thread; trees measured together: {', '.join(trees)}"
     )
     return {
@@ -144,7 +169,12 @@ def main(argv=None) -> int:
         first, last = rows[0], rows[-1]
         for old, new in zip(first["cells"], last["cells"]):
             ratio = old["ms_per_fit"] / new["ms_per_fit"]
-            print(f"GARCH({new['order']}) n={new['n']}: {first['label']} -> {last['label']} {ratio:.2f}x")
+            blocks = "".join(
+                f", R={size} {old['block_ms_per_row'][size] / new['block_ms_per_row'][size]:.2f}x"
+                for size in new.get("block_ms_per_row", {})
+                if size in old.get("block_ms_per_row", {})
+            )
+            print(f"GARCH({new['order']}) n={new['n']}: {first['label']} -> {last['label']} {ratio:.2f}x{blocks}")
     return 0
 
 

@@ -33,7 +33,9 @@ from .fitting import (
     FitResult,
     fit_ar,
     fit_ar_garch,
+    fit_ar_garch_block,
     fit_arma_css,
+    fit_garch_block,
     fit_garch_qmle,
     select_ar_order_aic,
 )
@@ -135,7 +137,9 @@ __all__ = [
     "experiment_to_dict",
     "fit_ar",
     "fit_ar_garch",
+    "fit_ar_garch_block",
     "fit_arma_css",
+    "fit_garch_block",
     "fit_garch_qmle",
     "fit_series",
     "gamma_from_moments",

@@ -230,6 +230,8 @@ def _cmd_test(args) -> int:
     except PortmanteauError as exc:
         _log(f"fit failed: {exc}")
         return 3
+    if fit.flags:
+        _log(f"fit flags: {', '.join(fit.flags)}")
     rows = []
     for m, reports in zip(lags, evaluate_fit(fit, names, lags)):
         for name in names:

@@ -26,15 +26,22 @@ import numpy as np
 from .corrmat import _check_order
 from .diagnostics import ALL_STATISTICS, TestReport, evaluate_statistics, null_distribution
 from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, LagTooLarge, NonPositiveDf, PortmanteauError
-from .fitting import FitResult, fit_ar, fit_ar_garch, fit_arma_css, fit_garch_qmle, select_ar_order_aic
+from .fitting import (
+    FitResult, fit_ar, fit_ar_garch, fit_ar_garch_block, fit_arma_css, fit_garch_block, fit_garch_qmle,
+    select_ar_order_aic,
+)
 from .models import (
     _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _convert, _from_dict, _simulate_block, _to_dict, spec_from_dict,
 )
 from .residuals import LagCorrelations
 
 CONFIG_SCHEMA_VERSION = 1
-# Replicates simulated together, as the rows of one block of paths.
+# Replicates simulated and fitted together, as the rows of one block: at most
+# _BLOCK rows, and at most _BLOCK_VALUES simulated values (rows x (burn-in +
+# the largest n)), so every n <= 2000 at the default burn-in of 500 keeps 64
+# rows and a block's memory does not grow with n.
 _BLOCK = 64
+_BLOCK_VALUES = 64 * 2500
 
 
 @dataclass(frozen=True)
@@ -89,17 +96,19 @@ class FitterSpec:
 class _Fitter:
     """One fitter kind: its fitting call, the rows it drops from the front of
     the series, the largest order correction its fits carry, whether it
-    accepts a series of n values (the fitter's own length check), and whether
-    its fits carry the conditional variances the Lb family needs."""
+    accepts a series of n values (the fitter's own length check), whether
+    its fits carry the conditional variances the Lb family needs, and its
+    call on an (R, n) stack of series, if it has one (see ``_fit_rows``)."""
 
     fit: Callable[[np.ndarray, FitterSpec], FitResult]
     lost_rows: Callable[[FitterSpec], int]
     max_correction: Callable[[FitterSpec], int]
     accepts: Callable[[FitterSpec, int], bool]
     variances: bool = False
+    fit_block: Callable[[np.ndarray, FitterSpec], list] | None = None
 
 
-# kind: _Fitter(fit, lost_rows, max_correction, accepts[, variances])
+# kind: _Fitter(fit, lost_rows, max_correction, accepts[, variances, fit_block])
 _FITTERS = {
     "none": _Fitter(lambda z, f: fit_ar(z, 0, intercept=False), lambda f: 0, lambda f: 0, lambda f, n: True),
     "ar": _Fitter(
@@ -114,11 +123,13 @@ _FITTERS = {
         lambda f, n: n > 10 * f.p_max,
     ),
     "garch": _Fitter(
-        lambda z, f: fit_garch_qmle(z, f.b, f.a), lambda f: 0, lambda f: 0, lambda f, n: n > 10 * (f.b + f.a), True
+        lambda z, f: fit_garch_qmle(z, f.b, f.a), lambda f: 0, lambda f: 0, lambda f, n: n > 10 * (f.b + f.a), True,
+        lambda zs, f: fit_garch_block(zs, f.b, f.a),
     ),
     "ar_garch": _Fitter(
         lambda z, f: fit_ar_garch(z, f.p, f.b, f.a, intercept=f.intercept), lambda f: f.p, lambda f: f.p,
         lambda f, n: n > 10 * f.p and n - f.p > 10 * (f.b + f.a), True,
+        lambda zs, f: fit_ar_garch_block(zs, f.p, f.b, f.a, intercept=f.intercept),
     ),
 }
 
@@ -250,6 +261,30 @@ def fit_series(z: np.ndarray, fitter: FitterSpec, generator: ModelSpec | None = 
     return _FITTERS[fitter.kind].fit(z, fitter)
 
 
+def _fit_rows(rows: np.ndarray, fitter: FitterSpec):
+    """Yield a resolved fitter's fit of each row of an (R, n) stack of series.
+
+    Item r is row r's :class:`FitResult` or the :class:`PortmanteauError`
+    that stopped its fit, each what the row gives alone: a kind with a
+    ``fit_block`` fits the stack at once, the others fit a row as it is asked for.
+    """
+    kind = _FITTERS[fitter.kind]
+    if kind.fit_block is not None:
+        yield from kind.fit_block(rows, fitter)
+        return
+    for z in rows:
+        try:
+            fit = kind.fit(z, fitter)
+        except PortmanteauError as exc:
+            fit = exc
+        yield fit
+
+
+def _block_rows(exp: Experiment) -> int:
+    """Rows of one block of ``exp``: at most ``_BLOCK``, and at most ``_BLOCK_VALUES`` simulated values."""
+    return max(1, min(_BLOCK, _BLOCK_VALUES // (exp.generator.burn_in + max(exp.n_list))))
+
+
 def check_statistics(fitter: FitterSpec, statistics, m_list, n_list) -> None:
     """Raise :class:`InvalidSpec` unless every statistic can be tested at every m.
 
@@ -306,9 +341,10 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
     """(rejection counts, degenerate evaluations, simulation failures, fit
     failures) for replicates [start, stop); the deterministic kernel.
 
-    Consecutive replicates are simulated ``_BLOCK`` at a time, each n as one
-    block of paths whose row r is, bit for bit, the path of replicate r's seed
-    alone; then each row is fitted and tested. So the counts, integer sums,
+    Consecutive replicates are simulated ``_block_rows`` at a time, each n as
+    one block of paths whose row r is, bit for bit, the path of replicate r's
+    seed alone; then the finite rows are fitted (``_fit_rows``, each fit what
+    its row gives alone) and each fit is tested. So the counts, integer sums,
     depend neither on the block size nor on how [start, stop) is split.
 
     ``exp`` must already be validated: the generator spec is not checked again
@@ -320,15 +356,15 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
     degenerate = 0
     sim_failures = 0
     failures = 0
-    for first in range(start, stop, _BLOCK):
-        seeds = [replicate_seed(exp.master_seed, rep) for rep in range(first, min(first + _BLOCK, stop))]
+    fitter = exp.fitter.resolve(exp.generator)
+    rows = _block_rows(exp)
+    for first in range(start, stop, rows):
+        seeds = [replicate_seed(exp.master_seed, rep) for rep in range(first, min(first + rows, stop))]
         for ni, n in enumerate(exp.n_list):
             paths, finite = _simulate_block(exp.generator, n, seeds)
             sim_failures += int(np.count_nonzero(~finite))
-            for z in paths[finite]:
-                try:
-                    fit = fit_series(z, exp.fitter, exp.generator)
-                except PortmanteauError:
+            for fit in _fit_rows(paths[finite], fitter):
+                if isinstance(fit, PortmanteauError):
                     failures += 1
                     continue
                 for mi, reports in enumerate(evaluate_fit(fit, stats, exp.m_list)):

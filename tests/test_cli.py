@@ -1,6 +1,7 @@
 """Command-line surface: ingestion, subcommands, exit codes, round trips."""
 
 import csv
+import datetime
 import io
 import json
 import os
@@ -173,6 +174,20 @@ class TestTestCommand:
         assert names == {"Cm", "Q12", "Dt22", "Q22", "Qw22", "Mw22", "Lb", "Lbw"}
         assert {int(r["m"]) for r in rows} == {5, 10}
         assert len(rows) == 16
+
+    def test_fit_flags_go_to_stderr(self, tmp_path, capsys):
+        # A GARCH(1,1) fit to a series whose scale grows twentyfold ends at the persistence boundary.
+        z = np.random.default_rng(0).standard_normal(300) * np.exp(np.linspace(0.0, 3.0, 300))
+        start = datetime.date(2000, 1, 3)
+        rows = "".join(f"{start + datetime.timedelta(days=t)},{float(value)!r}\n" for t, value in enumerate(z))
+        data = _write(tmp_path / "r.csv", "date,return\n" + rows)
+        code, out, err = _run(["test", data, "--fit", "garch:1,1", "--lags", "6", "--stats", "Cm"], capsys)
+        assert code == 0
+        assert err == "fit flags: boundary_estimate\n"
+        assert list(csv.DictReader(io.StringIO(out)))[0]["statistic"] == "Cm"
+        unflagged = self._simulate_to(tmp_path, capsys)
+        code, _, err = _run(["test", unflagged, "--fit", "ar:1", "--lags", "6", "--stats", "Cm"], capsys)
+        assert code == 0 and err == ""
 
     def test_csv_json_equivalence(self, tmp_path, capsys):
         data = self._simulate_to(tmp_path, capsys)

@@ -18,6 +18,7 @@ from portmanteau import (
     run_experiment,
 )
 from portmanteau.errors import ConfigError, EmptySample, InvalidSpec
+from portmanteau.montecarlo import _block_rows
 
 
 def _small_experiment(**overrides):
@@ -152,6 +153,14 @@ class TestRunExperiment:
         )
         table = run_experiment(exp, workers=1)
         assert len(table.cells) == 3 * 1 * 1 * 2
+
+    def test_block_rows_follow_the_value_budget(self):
+        # 64 rows up to n = 2000 at the default burn-in of 500, then rows x (500 + max n) <= 64 x 2500.
+        generator = ModelSpec(model=Garch(omega=0.2, alpha=(0.2, 0.2)))
+        assert _block_rows(_small_experiment(generator=generator, n_list=(100, 2000))) == 64
+        assert _block_rows(_small_experiment(generator=generator, n_list=(2001,))) == 63
+        assert _block_rows(_small_experiment(generator=generator, n_list=(200, 50000))) == 3
+        assert _block_rows(_small_experiment(generator=generator, n_list=(10**7,))) == 1
 
 
 class TestValidation:
