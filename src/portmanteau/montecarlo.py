@@ -320,14 +320,20 @@ def check_statistics(fitter: FitterSpec, statistics, m_list, n_list) -> None:
                 raise InvalidSpec(f"{name} has no null distribution at m = {m}: {exc}") from None
 
 
-def evaluate_fit(fit: FitResult, statistics, m_list) -> list[dict[str, TestReport]]:
+def evaluate_fit(
+    fit: FitResult, statistics, m_list, correlations: LagCorrelations | None = None
+) -> list[dict[str, TestReport]]:
     """The reports of ``statistics`` on one fit, one dict per lag order in ``m_list``.
 
     The residuals are correlated once, at the largest m, and every m reads
-    that one lag kernel; the Lb family reads the fit's conditional variances.
+    that one lag kernel: ``correlations`` when given (a kernel of the fit's
+    residuals at a largest lag >= max(m_list), such as a row of
+    ``_lag_kernels``), else a kernel of its own. The Lb family reads the
+    fit's conditional variances.
     """
     sigma2 = None if fit.conditional_sd is None else fit.conditional_sd * fit.conditional_sd
-    correlations = LagCorrelations(fit.residuals, max(m_list))
+    if correlations is None:
+        correlations = LagCorrelations(fit.residuals, max(m_list))
     return [
         evaluate_statistics(
             statistics, fit.residuals, m, order_correction=fit.order_correction, garch_eps=fit.garch_eps,
@@ -337,15 +343,30 @@ def evaluate_fit(fit: FitResult, statistics, m_list) -> list[dict[str, TestRepor
     ]
 
 
+def _lag_kernels(fits: list[FitResult], max_lag: int):
+    """Yield each fit with its lag kernel, the fits of one residual length sharing one lag pass.
+
+    Fits of different lengths (``ar_aic`` orders) fall in separate groups; each
+    row's kernel is bit for bit the kernel its fit gives alone.
+    """
+    groups: dict[int, list[FitResult]] = {}
+    for fit in fits:
+        groups.setdefault(fit.residuals.n, []).append(fit)
+    for group in groups.values():
+        yield from zip(group, LagCorrelations.stack([fit.residuals for fit in group], max_lag))
+
+
 def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray, int, int, int]:
     """(rejection counts, degenerate evaluations, simulation failures, fit
     failures) for replicates [start, stop); the deterministic kernel.
 
     Consecutive replicates are simulated ``_block_rows`` at a time, each n as
     one block of paths whose row r is, bit for bit, the path of replicate r's
-    seed alone; then the finite rows are fitted (``_fit_rows``, each fit what
-    its row gives alone) and each fit is tested. So the counts, integer sums,
-    depend neither on the block size nor on how [start, stop) is split.
+    seed alone; then every finite row is fitted (``_fit_rows``, each fit what
+    its row gives alone), the fits of each residual length are correlated in
+    one lag pass (``_lag_kernels``) and each fit is tested. So the counts,
+    integer sums, depend neither on the block size nor on how [start, stop)
+    is split.
 
     ``exp`` must already be validated: the generator spec is not checked again
     for each replicate.
@@ -363,11 +384,10 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
         for ni, n in enumerate(exp.n_list):
             paths, finite = _simulate_block(exp.generator, n, seeds)
             sim_failures += int(np.count_nonzero(~finite))
-            for fit in _fit_rows(paths[finite], fitter):
-                if isinstance(fit, PortmanteauError):
-                    failures += 1
-                    continue
-                for mi, reports in enumerate(evaluate_fit(fit, stats, exp.m_list)):
+            fits = [fit for fit in _fit_rows(paths[finite], fitter) if not isinstance(fit, PortmanteauError)]
+            failures += int(np.count_nonzero(finite)) - len(fits)
+            for fit, correlations in _lag_kernels(fits, max(exp.m_list)):
+                for mi, reports in enumerate(evaluate_fit(fit, stats, exp.m_list, correlations)):
                     for si, name in enumerate(stats):
                         report = reports[name]
                         degenerate += report.degenerate

@@ -34,9 +34,8 @@ from .models import _check_roots
 from .residuals import (
     CorrSequence,
     ResidualSeries,
-    _centered,
     _centered_sq_ratio,
-    _norm,
+    _check_power,
     correlogram,
     cross_corr_sequence,
     durbin_levinson,
@@ -62,18 +61,20 @@ def cross_correlation(series: ResidualSeries, i: int, j: int, k: int) -> float:
     Negative lags use the symmetry rho_ij(-k) = rho_ji(k). The covariance
     divisor is n for every lag.
     """
+    _check_power(i)
+    _check_power(j)
     n = series.n
     if abs(k) >= n:
         raise LagOutOfRange(f"|k| = {abs(k)} must be smaller than n = {n}")
     if k < 0:
         i, j, k = j, i, -k
-    fi = _centered(series, i)
-    fj = _centered(series, j)
+    fi, fj = (series.centered1 if p == 1 else series.centered2 for p in (i, j))
+    gamma0 = {1: series.gamma11_0, 2: series.gamma22_0}
     if k == 0:
         gamma = float(fi @ fj) / n
     else:
         gamma = float(fi[: n - k] @ fj[k:]) / n
-    return gamma / _norm(series, i, j)
+    return gamma / float(np.sqrt(gamma0[i] * gamma0[j]))
 
 
 def standardize_correlation(rho, k: int, n: int):

@@ -6,12 +6,14 @@ All covariances use the divisor n regardless of lag, so every sample
 correlation sequence is positive semidefinite by construction.
 
 Every correlation the statistics use comes from one lag kernel,
-:class:`LagCorrelations`: for one series and a largest lag M it computes each
-of the four kinds rho_11, rho_22, rho_12 and rho_21 over lags 0..M at most
-once, by one dot product per lag, and runs the Durbin-Levinson recursion at
-most once per autocorrelation kind. Every smaller lag order m reads a prefix
-of those sequences, which is bit for bit what a separate computation at m
-gives, because no lag's value depends on M. ``cross_corr_sequence``,
+:class:`LagCorrelations`: for one series and a largest lag M it computes the
+four kinds rho_11, rho_22, rho_12 and rho_21 over lags 0..M once, and runs the
+Durbin-Levinson recursion at most once per autocorrelation kind. The lag pass
+runs over a stack of R equal-length series, one stacked dot product per lag
+for every row and kind, and a lone series is the stack of one; each row is
+bit for bit the pass over its series alone. Every smaller lag order m reads a
+prefix of those sequences, which is bit for bit what a separate computation
+at m gives, because no lag's value depends on M. ``cross_corr_sequence``,
 ``correlogram`` and the statistics in ``diagnostics`` all read the kernel.
 The single-lag and standalone-PACF oracles the tests check the kernel
 against live in :mod:`portmanteau.reference`.
@@ -109,37 +111,38 @@ def make_residual_series(values) -> ResidualSeries:
     return ResidualSeries(values=v, n=n, centered1=c1, centered2=c2, gamma11_0=g11, gamma22_0=g22)
 
 
-def _centered(series: ResidualSeries, i: int) -> np.ndarray:
-    if i == 1:
-        return series.centered1
-    if i == 2:
-        return series.centered2
-    raise ValueError(f"power index must be 1 or 2, got {i}")
+def _check_power(i: int) -> None:
+    if i not in (1, 2):
+        raise ValueError(f"power index must be 1 or 2, got {i}")
 
 
-def _norm(series: ResidualSeries, i: int, j: int) -> float:
-    gii = series.gamma11_0 if i == 1 else series.gamma22_0
-    gjj = series.gamma11_0 if j == 1 else series.gamma22_0
-    return float(np.sqrt(gii * gjj))
+def _lag_pass(series: list[ResidualSeries], m: int) -> np.ndarray:
+    """rho_ij(k) of R equal-length series, as an (R, 2, 2, m+1) array indexed [r, i-1, j-1, k].
+
+    One stacked matrix product per lag gives all four kinds of every row: a
+    (1, n-k) row times an (n-k, 1) column per (row, i, j), which ``np.matmul``
+    takes as the BLAS dot of that row's own two slices, as a lone series'
+    ``fi[:n-k] @ fj[k:]`` does, and each row's kind is then divided by its
+    ``sqrt(gamma_ii(0) gamma_jj(0)) n``. So every row is bit for bit the pass
+    over its series alone.
+    """
+    n = series[0].n
+    if m >= n:
+        raise LagOutOfRange(f"m = {m} must be smaller than n = {n}")
+    centered = np.array([(s.centered1, s.centered2) for s in series])  # (R, 2, n)
+    lead = centered[:, :, None, None, :]
+    lagged = centered[:, None, :, :, None]
+    out = np.empty((len(series), 2, 2, m + 1))
+    for k in range(m + 1):
+        np.matmul(lead[..., : n - k], lagged[..., k:, :], out=out[..., k, None, None])
+    gamma0 = np.array([(s.gamma11_0, s.gamma22_0) for s in series])
+    out /= (np.sqrt(gamma0[:, :, None] * gamma0[:, None, :]) * n)[..., None]
+    return out
 
 
 def cross_corr_sequence(series: ResidualSeries, i: int, j: int, m: int) -> np.ndarray:
-    """Vector of rho_ij(k) for k = 0..m: the lag kernel's pass over one kind.
-
-    One dot product per lag, scaled by the zero-lag norms; a new array on
-    every call.
-    """
-    n = series.n
-    if m >= n:
-        raise LagOutOfRange(f"m = {m} must be smaller than n = {n}")
-    fi = _centered(series, i)
-    fj = _centered(series, j)
-    scale = _norm(series, i, j) * n
-    out = np.empty(m + 1)
-    out[0] = float(fi @ fj) / scale
-    for k in range(1, m + 1):
-        out[k] = float(fi[: n - k] @ fj[k:]) / scale
-    return out
+    """Vector of rho_ij(k) for k = 0..m: the lag pass over one series; a new array on every call."""
+    return LagCorrelations(series, m).rho(i, j, m).copy()
 
 
 def standardization_factors(n: int, lags) -> np.ndarray:
@@ -198,34 +201,69 @@ def durbin_levinson(rho: np.ndarray) -> np.ndarray:
     return pacf_prefix(durbin_levinson_prefix(rho), rho.size)
 
 
+class _LagBlock:
+    """Equal-length residual series and, from its first use, their lag pass at largest lag M."""
+
+    def __init__(self, series, max_lag: int):
+        self.series = list(series)
+        if any(s.n != self.series[0].n for s in self.series):
+            raise ValueError("a lag block needs residual series of one length")
+        self.max_lag = max_lag
+        self._rho: np.ndarray | None = None
+
+    def rho(self) -> np.ndarray:
+        """The read-only (R, 2, 2, M+1) array of :func:`_lag_pass`."""
+        if self._rho is None:
+            self._rho = _lag_pass(self.series, self.max_lag)
+            self._rho.flags.writeable = False
+        return self._rho
+
+
 class LagCorrelations:
     """The lag kernel: the correlations of one residual series up to lag M.
 
     ``rho(i, j, m)`` is rho_ij(k) for k = 0..m and ``pacf(i, m)`` the partial
-    autocorrelations pi_1..pi_m of rho_ii, for any m <= M. Each kind's
+    autocorrelations pi_1..pi_m of rho_ii, for any m <= M. The four kinds'
     correlations over lags 0..M and each kind's Durbin-Levinson run are
     computed on first use and then sliced, so a statistic battery over
-    several lag orders correlates the series once per kind. The returned
-    arrays are read-only views of that cache.
+    several lag orders correlates the series once. The returned arrays are
+    read-only views of that cache.
+
+    A kernel is one row of a lag pass over a stack of equal-length series:
+    :meth:`stack` gives the kernels of R series that share one pass, run for
+    all R rows at the first use by any of them, while each row keeps its own
+    Durbin-Levinson runs. A kernel built from one series is the stack of one;
+    either way each row's values are bit for bit the same.
     """
 
     def __init__(self, series: ResidualSeries, max_lag: int):
-        self.series = series
-        self.n = series.n
-        self.max_lag = max_lag
-        self._rho: dict[tuple[int, int], np.ndarray] = {}
+        self._attach(_LagBlock([series], max_lag), 0)
+
+    @classmethod
+    def stack(cls, series, max_lag: int) -> list[LagCorrelations]:
+        """The kernels of equal-length series at largest lag ``max_lag``, sharing one lag pass."""
+        block = _LagBlock(series, max_lag)
+        kernels = [cls.__new__(cls) for _ in block.series]
+        for row, kernel in enumerate(kernels):
+            kernel._attach(block, row)
+        return kernels
+
+    def _attach(self, block: _LagBlock, row: int) -> None:
+        """Make this kernel row ``row`` of ``block``."""
+        self.series = block.series[row]
+        self.n = self.series.n
+        self.max_lag = block.max_lag
+        self._block = block
+        self._row = row
         self._pacf: dict[int, tuple[np.ndarray, int | None]] = {}
 
     def rho(self, i: int, j: int, m: int) -> np.ndarray:
         """rho_ij(k) for k = 0..m."""
+        _check_power(i)
+        _check_power(j)
         if m > self.max_lag:
             raise LagOutOfRange(f"m = {m} exceeds the kernel's largest lag {self.max_lag}")
-        seq = self._rho.get((i, j))
-        if seq is None:
-            seq = cross_corr_sequence(self.series, i, j, self.max_lag)
-            seq.flags.writeable = False
-            self._rho[(i, j)] = seq
-        return seq[: m + 1]
+        return self._block.rho()[self._row, i - 1, j - 1, : m + 1]
 
     def pacf(self, i: int, m: int) -> np.ndarray:
         """pi_1..pi_m of rho_ii; raises :class:`SingularToeplitz` like ``durbin_levinson``."""

@@ -3,12 +3,14 @@
 Each fast path is checked against the implementation it replaced, kept here as
 the reference: scipy.stats' frozen-distribution survival functions for the
 p-values, a separate Durbin-Levinson run at every lag order for the PACF
-prefix rule, a fresh correlation pass at every m for the kernel, and
-scipy.linalg.toeplitz for the Toeplitz gather. Equality is exact (bit for
-bit), with NaN matching NaN.
+prefix rule, a fresh correlation pass at every m for the kernel, the per-lag
+dot-product loop for the stacked lag pass, a lone kernel for each row of a
+block kernel, and scipy.linalg.toeplitz for the Toeplitz gather. Equality is
+exact (bit for bit), with NaN matching NaN.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from portmanteau.diagnostics import (
 )
 from portmanteau.errors import PortmanteauError, SingularToeplitz
 from portmanteau.residuals import LagCorrelations, durbin_levinson_prefix, pacf_prefix
+from test_statistic_properties import SHAPES
 
 
 def _package_nulls() -> list:
@@ -219,6 +222,112 @@ class TestLagKernel:
         other = make_residual_series(rng.standard_normal(60))
         with pytest.raises(ValueError):
             evaluate_statistics(["Q11"], s, 5, correlations=LagCorrelations(other, 5))
+
+
+KINDS = ((1, 1), (2, 2), (1, 2), (2, 1))
+
+
+def _reference_cross_corr(series, i: int, j: int, m: int) -> np.ndarray:
+    """rho_ij(0..m) by one dot product per lag, the loop the stacked lag pass replaced."""
+    n = series.n
+    fi = series.centered1 if i == 1 else series.centered2
+    fj = series.centered1 if j == 1 else series.centered2
+    gamma0 = {1: series.gamma11_0, 2: series.gamma22_0}
+    scale = float(np.sqrt(gamma0[i] * gamma0[j])) * n
+    out = np.empty(m + 1)
+    out[0] = float(fi @ fj) / scale
+    for k in range(1, m + 1):
+        out[k] = float(fi[: n - k] @ fj[k:]) / scale
+    return out
+
+
+# Factors on the zero-lag variances of a block's rows. Below 1 they push the
+# correlations past what a sample can reach, so those rows' Durbin-Levinson
+# runs break down, each at an order of its own.
+SHRINK = (1.0, 1.0, 0.999, 0.99, 0.9, 0.5)
+
+
+def _block_series(seed: int, n: int, rows: int) -> list:
+    """``rows`` series of length n: every shape of SHAPES in turn, the
+    hand-made non-positive-definite ones among them, some with shrunk
+    zero-lag variances."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for r in range(rows):
+        s = make_residual_series(SHAPES[sorted(SHAPES)[r % len(SHAPES)]](n, rng))
+        shrink = SHRINK[rng.integers(len(SHRINK))]
+        out.append(replace(s, gamma11_0=s.gamma11_0 * shrink, gamma22_0=s.gamma22_0 * shrink))
+    return out
+
+
+class TestBlockKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(8, 120), rows=st.integers(1, 70), big_m=st.integers(1, 119)
+    )
+    @example(seed=3, n=100, rows=70, big_m=49)
+    def test_rows_equal_lone_kernels(self, seed, n, rows, big_m):
+        big_m = min(big_m, n - 1)
+        series = _block_series(seed, n, rows)
+        for s, row in zip(series, LagCorrelations.stack(series, big_m)):
+            assert row.series is s
+            lone = LagCorrelations(s, big_m)
+            for i, j in KINDS:
+                assert _bits(row.rho(i, j, big_m)) == _bits(_reference_cross_corr(s, i, j, big_m))
+                assert _bits(cross_corr_sequence(s, i, j, big_m)) == _bits(_reference_cross_corr(s, i, j, big_m))
+                for standardized in (False, True):
+                    assert _bits(row.correlogram(i, j, big_m, standardized).values) == _bits(
+                        lone.correlogram(i, j, big_m, standardized).values
+                    )
+            for m in range(big_m + 1):
+                for i, j in KINDS:
+                    assert _bits(row.rho(i, j, m)) == _bits(lone.rho(i, j, m)), (i, j, m)
+                for i in (1, 2):
+                    assert _outcome(row.pacf, i, m) == _outcome(lone.pacf, i, m), (i, m)
+
+    def test_rows_break_down_at_their_own_orders(self):
+        series = _block_series(3, 100, 24)
+        orders = set()
+        for s, row in zip(series, LagCorrelations.stack(series, 49)):
+            for i in (1, 2):
+                expected = _outcome(_reference_durbin_levinson, _reference_cross_corr(s, i, i, 49)[1:])
+                assert _outcome(row.pacf, i, 49) == expected
+                orders.add(expected[1] if expected[0] == "singular" else None)
+        assert None in orders and len(orders) >= 4, orders
+
+    @pytest.mark.parametrize("shape", ["alternating", "two_level"])
+    def test_rows_give_the_lone_reports(self, shape):
+        names = [name for name in ALL_STATISTICS if name not in ("Lb", "Lbw")]
+        rng = np.random.default_rng(5)
+        series = [make_residual_series(SHAPES[shape](120, rng)) for _ in range(6)]
+        degenerate = 0
+        for s, row in zip(series, LagCorrelations.stack(series, 40)):
+            for m, correction in ((1, 0), (7, 1), (25, 1), (40, 2)):
+                own = evaluate_statistics(names, s, m, order_correction=correction)
+                via_row = evaluate_statistics(names, s, m, order_correction=correction, correlations=row)
+                for name in names:
+                    a, b = own[name], via_row[name]
+                    assert (a.statistic.hex(), a.p_value.hex(), a.degenerate) == (
+                        b.statistic.hex(),
+                        b.p_value.hex(),
+                        b.degenerate,
+                    ), (name, m)
+                    degenerate += a.degenerate
+        assert degenerate > 0
+
+    def test_row_arrays_are_read_only(self):
+        series = _block_series(4, 50, 3)
+        row = LagCorrelations.stack(series, 10)[1]
+        with pytest.raises(ValueError):
+            row.rho(2, 1, 5)[0] = 0.0
+        with pytest.raises(ValueError):
+            row.pacf(2, 5)[0] = 0.0
+
+    def test_unequal_lengths_rejected(self):
+        rng = np.random.default_rng(6)
+        series = [make_residual_series(rng.standard_normal(n)) for n in (50, 51)]
+        with pytest.raises(ValueError):
+            LagCorrelations.stack(series, 10)
 
 
 @settings(max_examples=100, deadline=None)
