@@ -1,20 +1,20 @@
 """Refit the GARCH QMLE corpus on two or more source trees and compare the fits.
 
-The corpus is seeds 0..99 of the four GARCH orders of
-``scripts/bench_garch_fit.py`` (those of ``tests/test_golden_garch.py``) at
+The corpus is seeds 0..99 of the four GARCH orders of ``GARCH_MODELS`` in
+``scripts/bench_layer.py`` (those of ``tests/test_golden_garch.py``) at
 n in {200, 500}, burn-in 200: 800 series. The first tree simulates each series
 once and every tree fits that same series, so a difference is the fitter's.
 Each ``--tree LABEL=SRC`` loads the package found in SRC under its own module
-name (``bench_garch_fit._load``).
+name (``bench_layer._load``).
 
 For each later tree against the first, prints per order the worst
 log-likelihood loss (first tree's log-likelihood less this tree's, over the
 series), the ``non_convergence`` and ``boundary_estimate`` flags gained and
 lost (each gain with its series and log-likelihood change), and each tree's
-mean ``iterations`` per fit. Each tree that has ``fit_garch_block`` also
-refits every order's series in blocks of ``BLOCK``, and each block row must
-be its lone fit bit for bit. Exits 1 if any fit loses more than 1e-6 nats or
-gains a flag, or if a block row differs from its lone fit, else 0.
+mean ``iterations`` per fit. Each tree also refits every order's series in
+blocks of ``BLOCK``, and each block row must be its lone fit bit for bit.
+Exits 1 if any fit loses more than 1e-6 nats or gains a flag, or if a block
+row differs from its lone fit, else 0.
 
 Usage: python scripts/compare_garch_fits.py --tree parent=OTHER/src --tree change=src
 """
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_garch_fit import MODELS, _load, _tree  # noqa: E402
+from bench_layer import GARCH_MODELS, _load, _tree  # noqa: E402
 
 SEEDS = range(100)
 SIZES = (200, 500)
@@ -49,27 +49,25 @@ def refit(trees: dict) -> tuple[dict, dict]:
     """The fits and the block check of each tree, every tree fitting the first tree's series.
 
     The fits are {label: {(b, a): [FitResult per (n, seed)]}}; the check is
-    {label: {(b, a): number of block rows unlike their lone fit}}, for the
-    trees with ``fit_garch_block`` only.
+    {label: {(b, a): number of block rows unlike their lone fit}}.
     """
     packages = {label: _load(label, src) for label, src in trees.items()}
     reference = next(iter(packages.values()))
     fits = {label: {} for label in packages}
-    mismatches = {label: {} for label, pkg in packages.items() if hasattr(pkg.fitting, "fit_garch_block")}
-    for (b, a), params in MODELS.items():
+    mismatches = {label: {} for label in packages}
+    for (b, a), params in GARCH_MODELS.items():
         spec = reference.ModelSpec(model=reference.Garch(**params), burn_in=BURN_IN)
         for n in SIZES:
             series = [reference.simulate(spec, n, seed) for seed in SEEDS]
             for label, pkg in packages.items():
                 lone = [pkg.fit_garch_qmle(z, b, a) for z in series]
                 fits[label].setdefault((b, a), []).extend(lone)
-                if label in mismatches:
-                    rows = []
-                    for k in range(0, len(series), BLOCK):
-                        rows += pkg.fitting.fit_garch_block(np.array(series[k : k + BLOCK]), b, a)
-                    mismatches[label][b, a] = mismatches[label].get((b, a), 0) + sum(
-                        _bits(row) != _bits(fit) for row, fit in zip(rows, lone)
-                    )
+                rows = []
+                for k in range(0, len(series), BLOCK):
+                    rows += pkg.fitting.fit_garch_block(np.array(series[k : k + BLOCK]), b, a)
+                mismatches[label][b, a] = mismatches[label].get((b, a), 0) + sum(
+                    _bits(row) != _bits(fit) for row, fit in zip(rows, lone)
+                )
     return fits, mismatches
 
 

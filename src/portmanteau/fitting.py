@@ -8,7 +8,7 @@ fits, standardized residuals e_t / s_t for conditional-variance fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -163,12 +163,13 @@ def _reflect_ma_roots(theta: np.ndarray) -> tuple[np.ndarray, bool]:
     return new[::-1][1:].real, True
 
 
-def fit_arma_css(series, p: int, q: int, max_iter: int = 2000) -> FitResult:
+def fit_arma_css(series, p: int, q: int) -> FitResult:
     """Minimize the conditional sum of squares over (mu, phi, theta).
 
-    A derivative-free simplex search is used; convergence is declared when the
-    objective spread drops below 1e-10 (the ``converged`` flag reports which
-    exit was taken). Non-invertible moving-average estimates are reflected to
+    A derivative-free simplex search is used, for at most 2000 iterations and
+    8000 objective evaluations; convergence is declared when the objective
+    spread drops below 1e-10 (the ``converged`` flag reports which exit was
+    taken). Non-invertible moving-average estimates are reflected to
     their invertible equivalents and flagged.
     """
     z = np.asarray(series, dtype=float)
@@ -209,7 +210,7 @@ def fit_arma_css(series, p: int, q: int, max_iter: int = 2000) -> FitResult:
         objective,
         x0,
         method="Nelder-Mead",
-        options={"fatol": 1e-10, "xatol": 1e-8, "maxiter": max_iter, "maxfev": 4 * max_iter},
+        options={"fatol": 1e-10, "xatol": 1e-8, "maxiter": 2000, "maxfev": 8000},
     )
     flags = []
     if not res.success:
@@ -248,6 +249,8 @@ def fit_arma_css(series, p: int, q: int, max_iter: int = 2000) -> FitResult:
 _GTOL = 1e-6
 # Sufficient-decrease constant of the line search.
 _ARMIJO = 1e-4
+# Stop a BFGS run unconverged after this many iterations.
+_MAX_ITER = 4000
 # A rise of the NLL by at most this times |f| is rounding (which is about 1e-15 |f| for n <= 2000).
 _NOISE = 1e-13
 # The numerator of every variance-recursion filter.
@@ -409,13 +412,13 @@ def _line_search(x, f, g, p, slope, step, data, b, a):
         rows, step, decrease, trial = rows[~ok], step[~ok], decrease[~ok], trial[~ok]
 
 
-def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, data: tuple, b: int, a: int, max_iter: int):
+def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, data: tuple, b: int, a: int):
     """Minimize the GARCH NLL by BFGS from each row of x, the runs in lock step.
 
     ``f`` and ``g`` are the NLL and score at x, and ``data`` is (padded,
     eps2, v0), one row per run. A run converges when its largest score
     component is at most ``_GTOL``; it stops unconverged when its line
-    search cannot move x or after ``max_iter`` iterations. The first
+    search cannot move x or after ``_MAX_ITER`` iterations. The first
     step moves x by at most 1, as in scipy's BFGS; the inverse Hessian starts
     at the identity, skips an update whose curvature s.y is not positive, and
     restarts at the identity if its direction is not a descent one. Returns
@@ -452,7 +455,7 @@ def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, data: tuple, b: int, a: i
         inverse += np.where(update[:, None, None], change, 0.0)
         x, f, g, step = x_new, f_new, g_new, np.ones(live.size)
         converged = np.abs(g).max(axis=1) <= _GTOL
-        stop = converged | ~moved | (iteration >= max_iter)
+        stop = converged | ~moved | (iteration >= _MAX_ITER)
         if stop.any():
             gone = live[stop]
             out[0][gone], out[1][gone], out[2][gone] = x[stop], f[stop], converged[stop]
@@ -464,7 +467,7 @@ def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, data: tuple, b: int, a: i
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def fit_garch_block(rows, b: int, a: int, max_iter: int = 4000) -> list:
+def fit_garch_block(rows, b: int, a: int) -> list:
     """Gaussian QMLE of a GARCH(b, a) variance recursion on each zero-mean row of an (R, n) stack.
 
     Entry r is row r's :class:`FitResult`, or the :class:`PortmanteauError`
@@ -481,11 +484,12 @@ def fit_garch_block(rows, b: int, a: int, max_iter: int = 4000) -> list:
 
     The NLL is minimized by BFGS on its analytic score (``_garch_nll_score``)
     with an Armijo line search (``_bfgs``) from several persistence splits,
-    keeping the best optimum; ``max_iter`` bounds each run. Only the better
-    half of the splits by starting NLL runs (ties keep split order): 1 of 2
-    for an ARCH fit, 2 of 4 for a GARCH one. The other splits run too when no
-    run of that half converged to the kept NLL, so the screen raises no
-    ``non_convergence`` flag that running every split would not.
+    keeping the best optimum; each run makes at most ``_MAX_ITER``
+    iterations. Only the better half of the splits by starting NLL runs (ties
+    keep split order): 1 of 2 for an ARCH fit, 2 of 4 for a GARCH one. The
+    other splits run too when no run of that half converged to the kept NLL,
+    so the screen raises no ``non_convergence`` flag that running every split
+    would not.
 
     A run converges when the largest score component falls to 1e-6
     (``_GTOL``). The fit counts as converged when some run converged to
@@ -544,7 +548,7 @@ def fit_garch_block(rows, b: int, a: int, max_iter: int = 4000) -> list:
     for stage in (ranked[:, : width // 2], ranked[:, width // 2 :]):
         runs = stage[pending].ravel()
         x[runs], nll[runs], success[runs], iterations[runs] = _bfgs(
-            x[runs], nll[runs], grad[runs], tuple(part[runs] for part in data), b, a, max_iter
+            x[runs], nll[runs], grad[runs], tuple(part[runs] for part in data), b, a
         )
         made[runs] = True
         tried = np.where(made, nll, np.inf).reshape(-1, width)
@@ -589,9 +593,9 @@ def _lone(entries: list) -> FitResult:
     return entries[0]
 
 
-def fit_garch_qmle(series, b: int, a: int, max_iter: int = 4000) -> FitResult:
+def fit_garch_qmle(series, b: int, a: int) -> FitResult:
     """Gaussian QMLE of a GARCH(b, a) variance recursion on a zero-mean series: ``fit_garch_block`` of one row."""
-    return _lone(fit_garch_block(np.asarray(series, dtype=float)[None], b, a, max_iter))
+    return _lone(fit_garch_block(np.asarray(series, dtype=float)[None], b, a))
 
 
 def fit_ar_garch_block(rows, p: int, b: int, a: int, intercept: bool = True) -> list:
@@ -615,27 +619,13 @@ def fit_ar_garch_block(rows, p: int, b: int, a: int, intercept: bool = True) -> 
         if isinstance(var_fit, PortmanteauError):
             out[r] = var_fit
             continue
-        params = {
-            "mu": mean_fit.params["mu"],
-            "phi": mean_fit.params["phi"],
-            "omega": var_fit.params["omega"],
-            "alpha": var_fit.params["alpha"],
-            "beta": var_fit.params["beta"],
-            "mean_order": p,
-            "variance_order": (b, a),
-        }
-        out[r] = FitResult(
+        params = {"mu": mean_fit.params["mu"], "phi": mean_fit.params["phi"], **var_fit.params}
+        out[r] = replace(
+            var_fit,
             kind="ar_garch",
             order=(p, 0),
-            params=params,
-            residuals=var_fit.residuals,
-            loglik=var_fit.loglik,
-            aic=var_fit.aic,
             converged=mean_fit.converged and var_fit.converged,
-            iterations=var_fit.iterations,
-            conditional_sd=var_fit.conditional_sd,
-            garch_eps=var_fit.garch_eps,
-            flags=var_fit.flags,
+            params={**params, "mean_order": p, "variance_order": (b, a)},
         )
     return out
 
