@@ -18,6 +18,14 @@ BLOCKS:
   the mean of their times, with the mean ``iterations`` and log-likelihood.
   ``block_ms_per_row`` times one ``fit_garch_block`` call on the first R of
   those seeds, per row.
+- ``statistics``: for each design of ``DESIGNS`` (the ar_null workload's
+  AR(1) with Cm at m = 10, the battery workload's TAR with its 18 statistics
+  at m = 10 and 30), R paths at the default burn-in (seeds 1000..),
+  simulated outside the timing, then the engine's steps from paths to
+  reports: the AR(1) fit of every row (``montecarlo._fit_rows``), the lag
+  kernels of the fits (``montecarlo._lag_kernels``) and every fit's reports
+  (``montecarlo.evaluate_fit``); ``us_per_series`` is its time divided by R.
+  A block of one is the lone path of ``portmanteau test``.
 
 Each time is the best of the layer's ``repeat`` calls. Each ``--tree
 LABEL=SRC`` loads the package found in SRC under its own module name, so
@@ -76,6 +84,12 @@ MODELS = {
     "tar": lambda pkg: pkg.Tar(phi1_lower=-1.5, phi1_upper=0.5),
 }
 
+# Design name: (model of MODELS, statistics, lag orders); no statistics means the battery's 18.
+DESIGNS = {
+    "ar_null": ("ar1", ("Cm",), (10,)),
+    "battery": ("tar", (), (10, 30)),
+}
+
 
 def _simulate_cell(pkg, model: str, n: int, block: int):
     spec = pkg.ModelSpec(model=MODELS[model](pkg))
@@ -116,6 +130,22 @@ def _garch_qmle_cell(pkg, order: str, n: int):
     return calls, fields
 
 
+def _statistics_cell(pkg, design: str, n: int, block: int):
+    model, names, m_list = DESIGNS[design]
+    names = names or [name for name in pkg.ALL_STATISTICS if name not in ("Lb", "Lbw")]
+    spec = pkg.ModelSpec(model=MODELS[model](pkg))
+    paths, _ = pkg.models._simulate_block(spec, n, [1000 + k for k in range(block)])
+    fitter = pkg.FitterSpec(kind="ar", p=1, intercept=False)
+    engine = pkg.montecarlo
+
+    def call():
+        fits = [fit for fit in engine._fit_rows(paths, fitter) if isinstance(fit, pkg.FitResult)]
+        for fit, kernel in engine._lag_kernels(fits, max(m_list)):
+            engine.evaluate_fit(fit, names, m_list, kernel)
+
+    return [call], lambda best: {"us_per_series": round(1e6 * best[0] / block, 2)}
+
+
 class Layer(NamedTuple):
     name: str  # the output's ``layer``
     axes: Callable  # () -> {key: values}: the cells are their product, in this order
@@ -151,6 +181,15 @@ LAYERS = {
         5,
         f"ms_per_fit: mean over seeds 0..{SERIES - 1} of a lone fit; block_ms_per_row: a block of the first R "
         "seeds, per row; burn-in 200",
+    ),
+    "statistics": Layer(
+        "montecarlo.statistics",
+        lambda: {"design": DESIGNS, "n": SIZES, "block": BLOCKS},
+        _statistics_cell,
+        {"ratio": "us_per_series"},
+        25,
+        "us_per_series: AR(1) fits, lag kernels and reports of a block of paths divided by the block size; "
+        "paths simulated outside the timing, seeds 1000..; default burn-in",
     ),
 }
 

@@ -32,12 +32,14 @@ from .diagnostics import (
 from .fitting import (
     FitResult,
     fit_ar,
+    fit_ar_block,
     fit_ar_garch,
     fit_ar_garch_block,
     fit_arma_css,
     fit_garch_block,
     fit_garch_qmle,
     select_ar_order_aic,
+    select_ar_order_aic_block,
 )
 from .models import (
     Arma,
@@ -86,6 +88,7 @@ from .residuals import (
     cross_corr_sequence,
     durbin_levinson,
     make_residual_series,
+    residual_series_block,
 )
 
 # Two oracles keep the submodule paths they had before reference.py existed.
@@ -136,6 +139,7 @@ __all__ = [
     "experiment_from_dict",
     "experiment_to_dict",
     "fit_ar",
+    "fit_ar_block",
     "fit_ar_garch",
     "fit_ar_garch_block",
     "fit_arma_css",
@@ -155,9 +159,11 @@ __all__ = [
     "rejection_frequency",
     "replicate_seed",
     "residual_pacf",
+    "residual_series_block",
     "run_experiment",
     "schur_logdet",
     "select_ar_order_aic",
+    "select_ar_order_aic_block",
     "simulate",
     "spec_from_dict",
     "spec_to_dict",

@@ -318,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="run a Monte Carlo size/power experiment")
     p_mc.add_argument("--config", required=True, help="experiment config: JSON file or inline JSON")
-    p_mc.add_argument("--workers", type=int, default=None, help="worker processes (default: all cores)")
+    p_mc.add_argument(
+        "--workers", type=int, default=None, help="worker processes (default: one per CPU this process may run on)"
+    )
     p_mc.add_argument("--out", required=True, help="output path prefix")
     p_mc.set_defaults(func=_cmd_mc)
     return parser

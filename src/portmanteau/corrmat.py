@@ -4,7 +4,14 @@ The single-kind matrix of order m is (m+1) x (m+1) with entry (r, c) equal to
 rho_ij(c - r); the block matrix stacks the four kinds as
 [[R11, R12], [R12', R22]] and is 2(m+1)-dimensional. Both builders take a
 residual series or its lag kernel (:class:`~portmanteau.residuals.LagCorrelations`)
-at any largest lag >= m, and read the correlations from the kernel. The
+at any largest lag >= m, and read the correlations from the kernel.
+
+The statistics read log-determinants through ``toeplitz_logdet`` and
+``block_logdet``: the first read of a (kind, m, standardized) matrix by any
+row of a kernel's block gathers that matrix for every row at once, factors
+each with its own ``dpotrf`` and sums every row's 2 log diag(L) in one
+stacked reduction; the block keeps the results (``LagCorrelations.shared``),
+each row bit for bit ``logdet_pd`` of its own matrix. The
 Schur-complement and trace-identity oracles for these matrices live in
 :mod:`portmanteau.reference`.
 """
@@ -46,26 +53,54 @@ def _toeplitz_index(m: int) -> np.ndarray:
     return index
 
 
+@lru_cache(maxsize=64)
+def _block_index(m: int) -> np.ndarray:
+    """Index (a, b) of the block matrix into the four kinds' sources, read-only.
+
+    Kind [i-1, j-1] is at offset (2(i-1) + j-1)(2m+1) (see ``_toeplitz_sources``);
+    the lower-left quadrant reads R12 transposed.
+    """
+    t = _toeplitz_index(m)
+    width = 2 * m + 1
+    index = np.block([[t, width + t], [width + t.T, 3 * width + t]])
+    index.flags.writeable = False
+    return index
+
+
+def _toeplitz_sources(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """[neg reversed, pos[1:]] of each row: entry m + b - a is entry (a, b) of its Toeplitz matrix."""
+    return np.concatenate((neg[..., ::-1], pos[..., 1:]), axis=-1)
+
+
 def _toeplitz(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Entry (a, b) = pos[b - a] above the diagonal, neg[a - b] on and below it."""
-    return np.concatenate((neg[::-1], pos[1:]))[_toeplitz_index(pos.size - 1)]
+    """Entry (a, b) = pos[b - a] above the diagonal, neg[a - b] on and below it, for each row of stacked neg and pos."""
+    return _toeplitz_sources(neg, pos)[..., _toeplitz_index(pos.shape[-1] - 1)]
 
 
-def _toeplitz_entries(corr: LagCorrelations, i: int, j: int, m: int, standardized: bool) -> np.ndarray:
-    pos = corr.rho(i, j, m)  # rho_ij(0..m)
-    neg = corr.rho(j, i, m)  # rho_ij(-k) = rho_ji(k)
+def _toeplitz_entries(rho: np.ndarray, n: int, i: int, j: int, m: int, standardized: bool) -> np.ndarray:
+    """The (R, m+1, m+1) Toeplitz matrices of rho_ij of each row of an (R, 2, 2, >= m+1) lag pass, one gather."""
+    pos = rho[:, i - 1, j - 1, : m + 1]  # rho_ij(0..m)
+    neg = rho[:, j - 1, i - 1, : m + 1]  # rho_ij(-k) = rho_ji(k)
     if standardized:
         # The scaling is defined for k != 0 only; lag 0 keeps its raw value so
         # autocorrelation matrices keep a unit diagonal.
-        factors = standardization_factors(corr.n, np.arange(1, m + 1))
+        factors = standardization_factors(n, np.arange(1, m + 1))
         pos = pos.copy()
-        pos[1:] *= factors
+        pos[:, 1:] *= factors
         if i == j:
             neg = pos
         else:
             neg = neg.copy()
-            neg[1:] *= factors
+            neg[:, 1:] *= factors
     return _toeplitz(neg, pos)
+
+
+def _block_entries(rho: np.ndarray, m: int) -> np.ndarray:
+    """The (R, 2(m+1), 2(m+1)) block matrices [[R11, R12], [R12', R22]] of each row of a lag pass, one gather."""
+    d = m + 1
+    # The four kinds' sources of each row in [i-1, j-1] order: pos is rho_ij(k), neg rho_ji(k).
+    sources = _toeplitz_sources(rho.transpose(0, 2, 1, 3)[..., :d], rho[..., :d])
+    return sources.reshape(len(rho), -1)[:, _block_index(m)]
 
 
 def build_toeplitz(
@@ -73,7 +108,8 @@ def build_toeplitz(
 ) -> CrossCorrMatrix:
     """The (m+1) x (m+1) Toeplitz matrix with entry (r, c) = rho_ij(c - r)."""
     _check_order(series.n, m)
-    entries = _toeplitz_entries(lag_correlations(series, m), i, j, m, standardized)
+    corr = lag_correlations(series, m)
+    entries = _toeplitz_entries(corr.lag_pass(m), corr.n, i, j, m, standardized)[0]
     return CrossCorrMatrix(m=m, kind=_KINDS[(i, j)], entries=entries, standardized=standardized)
 
 
@@ -86,13 +122,7 @@ def build_block(series: ResidualSeries | LagCorrelations, m: int) -> CrossCorrMa
     """
     _check_order(series.n, m)
     corr = lag_correlations(series, m)
-    d = m + 1
-    r12 = _toeplitz_entries(corr, 1, 2, m, False)
-    entries = np.empty((2 * d, 2 * d))
-    entries[:d, :d] = _toeplitz_entries(corr, 1, 1, m, False)
-    entries[:d, d:] = r12
-    entries[d:, :d] = r12.T
-    entries[d:, d:] = _toeplitz_entries(corr, 2, 2, m, False)
+    entries = _block_entries(corr.lag_pass(m), m)[0]
     return CrossCorrMatrix(m=m, kind="block", entries=entries, standardized=False)
 
 
@@ -102,17 +132,54 @@ def _as_array(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=float)
 
 
+def _logdet_rows(matrices: np.ndarray) -> list[tuple[float, int]]:
+    """(log-determinant, dpotrf info) of each matrix of an (R, d, d) stack via Cholesky.
+
+    One ``dpotrf`` per matrix, then 2 sum log diag(L) for all rows at once,
+    each row's sum a reduction along that row alone. Info k > 0 is the
+    1-based order of the first non-positive leading minor, and such a row's
+    log-determinant is 0.
+    """
+    diagonals = np.ones(matrices.shape[:2])
+    info = []
+    for a, diagonal in zip(matrices, diagonals):
+        c, code = dpotrf(a, lower=1)
+        if code < 0:
+            raise ValueError(f"invalid argument {-code} to dpotrf")
+        if code == 0:
+            diagonal[:] = c.diagonal()
+        info.append(code)
+    return list(zip((2.0 * np.add.reduce(np.log(diagonals), axis=1)).tolist(), info))
+
+
 def logdet_pd(matrix) -> float:
     """Log-determinant of a symmetric positive definite matrix via Cholesky.
 
     Raises :class:`NotPositiveDefinite` carrying the 1-based order of the first
     non-positive leading minor when the factorization breaks down.
     """
-    a = _as_array(matrix)
-    c, info = dpotrf(a, lower=1)
+    logdet, info = _logdet_rows(_as_array(matrix)[None])[0]
     if info > 0:
         raise NotPositiveDefinite(info)
-    if info < 0:
-        raise ValueError(f"invalid argument {-info} to dpotrf")
-    return float(2.0 * np.sum(np.log(np.diag(c))))
+    return logdet
 
+
+def _shared_logdet(corr: LagCorrelations, key: tuple, m: int, entries) -> float:
+    """log|A| of this row's matrix A, ``entries(rho)`` stacking every row's, all computed at the first call."""
+    _check_order(corr.n, m)
+    logdet, info = corr.shared(("logdet", *key), m, lambda rho: _logdet_rows(entries(rho)))
+    if info > 0:
+        raise NotPositiveDefinite(info)
+    return logdet
+
+
+def toeplitz_logdet(corr: LagCorrelations, i: int, j: int, m: int, standardized: bool = False) -> float:
+    """``logdet_pd(build_toeplitz(corr, i, j, m, standardized))``, computed for every row of the kernel's block."""
+    return _shared_logdet(
+        corr, (i, j, m, standardized), m, lambda rho: _toeplitz_entries(rho, corr.n, i, j, m, standardized)
+    )
+
+
+def block_logdet(corr: LagCorrelations, m: int) -> float:
+    """``logdet_pd(build_block(corr, m))``, computed for every row of the kernel's block at once."""
+    return _shared_logdet(corr, ("block", m), m, lambda rho: _block_entries(rho, m))

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import chdtrc, gammaincc
 
-from .corrmat import _check_order, build_block, build_toeplitz, logdet_pd
+from .corrmat import _check_order, block_logdet, toeplitz_logdet
 from .errors import (
     DegenerateSample,
     DegenerateVariance,
@@ -227,6 +228,7 @@ def _chi2_dist(m: int, correction: int) -> tuple:
     return ("chi2", df)
 
 
+@lru_cache(maxsize=1024)
 def null_distribution(
     name: str, m: int, order_correction: int = 0, garch_orders: tuple[int, int] = (0, 0)
 ) -> tuple[int, tuple]:
@@ -235,7 +237,8 @@ def null_distribution(
     A table row takes the fit's order correction only when it reads residual
     autocorrelations (i = j = 1); the Lb family takes b + a from the fitted
     variance orders. Raises :class:`NonPositiveDf` or :class:`InvalidOrder`
-    when the correction leaves no null at this m.
+    when the correction leaves no null at this m, on every call: the result
+    is memoized, a raised error is not.
     """
     if name in ("Lb", "Lbw"):
         correction = garch_orders[0] + garch_orders[1]
@@ -293,8 +296,8 @@ def _read(row: _Row, corr: LagCorrelations, m: int):
     if row.source == "pacf":
         return corr.pacf(row.i, m)
     if row.source == "toeplitz":
-        return logdet_pd(build_toeplitz(corr, row.i, row.j, m, standardized=row.standardized))
-    return logdet_pd(build_block(corr, m))
+        return toeplitz_logdet(corr, row.i, row.j, m, row.standardized)
+    return block_logdet(corr, m)
 
 
 def _evaluate(name: str, form: str, read, n: int, m: int, null: tuple[int, tuple]) -> TestReport:

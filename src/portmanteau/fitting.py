@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from .errors import InvalidSpec, NonFinite, PortmanteauError, SingularDesign
-from .residuals import ResidualSeries, make_residual_series
+from .residuals import ResidualSeries, _lone, make_residual_series, residual_series_block
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 _LOG2 = float(np.log(2.0))
@@ -67,6 +67,73 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
+def fit_ar_block(rows, p: int, intercept: bool = True) -> list:
+    """``fit_ar`` of each row of an (R, n) stack: regress z_t on (1, z_{t-1}, ..., z_{t-p}).
+
+    Entry r is row r's :class:`FitResult` or the :class:`PortmanteauError`
+    that stops its fit, bit for bit what the row gives alone (``fit_ar`` is
+    the block of one). The coefficients are one ``lstsq`` per row; the
+    residuals and sigma^2 are stacked ``np.matmul`` calls (each row's own
+    BLAS product of its design and coefficients, and its own dot product),
+    log sigma^2 and the residual series (``residual_series_block``) stacked
+    elementwise operations or reductions along a row, and the log-likelihood
+    and AIC the lone fit's float arithmetic on each row's log sigma^2.
+    """
+    z = np.asarray(rows, dtype=float)
+    count, n = z.shape
+    if p < 0:
+        return [InvalidSpec("autoregressive order must be non-negative")] * count
+    if p > 0 and n <= 10 * p:
+        return [InvalidSpec(f"need n > 10p observations to fit AR({p}), got n = {n}")] * count
+    nparams = p + int(intercept)
+    y = z[:, p:]
+    out: list = [None] * count
+    if nparams:
+        design = np.empty((count, n - p, nparams))
+        if intercept:
+            design[:, :, 0] = 1.0
+        for j in range(1, p + 1):
+            design[:, :, nparams - p + j - 1] = z[:, p - j : n - j]
+        coef = np.empty((count, nparams))
+        for r in range(count):
+            coef[r], _, rank, _ = np.linalg.lstsq(design[r], y[r], rcond=None)
+            if rank < nparams:
+                out[r] = SingularDesign(f"AR({p}) design matrix has rank {rank} < {nparams}")
+        resid = y - np.matmul(design, coef[:, :, None])[:, :, 0]
+    else:
+        coef = np.empty((count, 0))
+        resid = y.copy()
+    sigma2 = np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0] / (n - p)
+    # A row whose sigma^2 is zero fails below; its logarithm is never read.
+    with np.errstate(divide="ignore"):
+        log_sigma2 = np.log(sigma2).tolist()
+    series = residual_series_block(resid)
+    for r, (s2, log_s2) in enumerate(zip(sigma2.tolist(), log_sigma2)):
+        if out[r] is not None:
+            continue
+        if s2 <= 0.0:
+            out[r] = SingularDesign("residual variance collapsed to zero")
+        elif isinstance(series[r], PortmanteauError):
+            out[r] = series[r]
+        else:
+            out[r] = FitResult(
+                kind="ar",
+                order=(p, 0),
+                params={
+                    "mu": float(coef[r, 0]) if intercept else 0.0,
+                    "phi": tuple(coef[r, 1:] if intercept else coef[r]),
+                    "sigma2": s2,
+                    "intercept": intercept,
+                },
+                residuals=series[r],
+                loglik=-0.5 * (n - p) * (_LOG2PI + log_s2 + 1.0),
+                aic=n * log_s2 + 2.0 * nparams,
+                converged=True,
+                iterations=0,
+            )
+    return out
+
+
 def fit_ar(series, p: int, intercept: bool = True) -> FitResult:
     """Regress z_t on (1, z_{t-1}, ..., z_{t-p}); residuals cover t = p+1..n.
 
@@ -75,58 +142,35 @@ def fit_ar(series, p: int, intercept: bool = True) -> FitResult:
     block log-determinant statistic: exact in-sample demeaning changes the
     null behavior of the lag-0 residual/squared-residual correlation, and the
     calibration of its gamma null assumes the mean was NOT estimated.
+    ``fit_ar_block`` of one row.
     """
-    z = np.asarray(series, dtype=float)
-    n = z.size
-    if p < 0:
-        raise InvalidSpec("autoregressive order must be non-negative")
-    if p > 0 and n <= 10 * p:
-        raise InvalidSpec(f"need n > 10p observations to fit AR({p}), got n = {n}")
-    nparams = p + int(intercept)
-    y = z[p:]
-    cols = []
-    if intercept:
-        cols.append(np.ones(n - p))
-    for j in range(1, p + 1):
-        cols.append(z[p - j : n - j])
-    if cols:
-        design = np.column_stack(cols)
-        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < nparams:
-            raise SingularDesign(f"AR({p}) design matrix has rank {rank} < {nparams}")
-        resid = y - design @ coef
-    else:
-        coef = np.empty(0)
-        resid = y.copy()
-    sigma2 = float(resid @ resid) / resid.size
-    if sigma2 <= 0.0:
-        raise SingularDesign("residual variance collapsed to zero")
-    mu = float(coef[0]) if intercept else 0.0
-    phi = tuple(coef[1:]) if intercept else tuple(coef)
-    loglik = -0.5 * resid.size * (_LOG2PI + np.log(sigma2) + 1.0)
-    aic = n * np.log(sigma2) + 2.0 * nparams
-    return FitResult(
-        kind="ar",
-        order=(p, 0),
-        params={"mu": mu, "phi": phi, "sigma2": sigma2, "intercept": intercept},
-        residuals=make_residual_series(resid),
-        loglik=float(loglik),
-        aic=float(aic),
-        converged=True,
-        iterations=0,
-    )
+    return _lone(fit_ar_block(np.asarray(series, dtype=float)[None], p, intercept=intercept))
+
+
+def select_ar_order_aic_block(rows, p_max: int = 4, intercept: bool = True) -> list:
+    """``select_ar_order_aic`` of each row of an (R, n) stack, one ``fit_ar_block`` per order.
+
+    Entry r is row r's fit or the error of its first failing order, as alone.
+    """
+    if p_max < 1:
+        return [InvalidSpec("p_max must be at least 1")] * len(rows)
+    best = fit_ar_block(rows, 1, intercept=intercept)
+    for p in range(2, p_max + 1):
+        for r, fit in enumerate(fit_ar_block(rows, p, intercept=intercept)):
+            # A row keeps its first error; otherwise the lower AIC wins, ties to the smaller p.
+            if isinstance(best[r], PortmanteauError):
+                continue
+            if isinstance(fit, PortmanteauError) or fit.aic < best[r].aic:
+                best[r] = fit
+    return best
 
 
 def select_ar_order_aic(series, p_max: int = 4, intercept: bool = True) -> FitResult:
-    """Fit AR(p) for p = 1..p_max and keep the minimum-AIC fit (ties to smaller p)."""
-    if p_max < 1:
-        raise InvalidSpec("p_max must be at least 1")
-    best: FitResult | None = None
-    for p in range(1, p_max + 1):
-        fit = fit_ar(series, p, intercept=intercept)
-        if best is None or fit.aic < best.aic:
-            best = fit
-    return best
+    """Fit AR(p) for p = 1..p_max and keep the minimum-AIC fit (ties to smaller p).
+
+    ``select_ar_order_aic_block`` of one row.
+    """
+    return _lone(select_ar_order_aic_block(np.asarray(series, dtype=float)[None], p_max, intercept=intercept))
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +607,11 @@ def fit_garch_block(rows, b: int, a: int) -> list:
     loglik = -0.5 * np.sum(_LOG2PI + np.log(sig2) + eps2 / sig2, axis=1)
     boundary = np.sum(alpha, axis=1) + np.sum(beta, axis=1) > 1.0 - 1e-6
     spent = iterations.reshape(-1, width).sum(axis=1)
-    for j, r in enumerate(ok):
-        flags = ("non_convergence",) * bool(pending[j]) + ("boundary_estimate",) * bool(boundary[j])
-        try:
-            residuals = make_residual_series(eps[j] / sd[j])
-        except PortmanteauError as exc:
-            out[r] = exc
+    for j, (r, residuals) in enumerate(zip(ok, residual_series_block(eps / sd))):
+        if isinstance(residuals, PortmanteauError):
+            out[r] = residuals
             continue
+        flags = ("non_convergence",) * bool(pending[j]) + ("boundary_estimate",) * bool(boundary[j])
         out[r] = FitResult(
             kind="garch",
             order=(b, a),
@@ -586,30 +628,18 @@ def fit_garch_block(rows, b: int, a: int) -> list:
     return out
 
 
-def _lone(entries: list) -> FitResult:
-    """The fit of a block of one, raising its error."""
-    if isinstance(entries[0], PortmanteauError):
-        raise entries[0]
-    return entries[0]
-
-
 def fit_garch_qmle(series, b: int, a: int) -> FitResult:
     """Gaussian QMLE of a GARCH(b, a) variance recursion on a zero-mean series: ``fit_garch_block`` of one row."""
     return _lone(fit_garch_block(np.asarray(series, dtype=float)[None], b, a))
 
 
 def fit_ar_garch_block(rows, p: int, b: int, a: int, intercept: bool = True) -> list:
-    """``fit_ar_garch`` of each row of an (R, n) stack: the AR stage row by row, then one GARCH block.
+    """``fit_ar_garch`` of each row of an (R, n) stack: one AR block, then one GARCH block.
 
     Entry r is row r's :class:`FitResult` or the :class:`PortmanteauError`
     that stops its fit, each what the row gives alone.
     """
-    out: list = []
-    for z in rows:
-        try:
-            out.append(fit_ar(z, p, intercept=intercept))
-        except PortmanteauError as exc:
-            out.append(exc)
+    out = fit_ar_block(rows, p, intercept=intercept)
     ok = [r for r, fit in enumerate(out) if isinstance(fit, FitResult)]
     if not ok:
         return out

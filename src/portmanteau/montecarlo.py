@@ -27,13 +27,12 @@ from .corrmat import _check_order
 from .diagnostics import ALL_STATISTICS, TestReport, evaluate_statistics, null_distribution
 from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, LagTooLarge, NonPositiveDf, PortmanteauError
 from .fitting import (
-    FitResult, fit_ar, fit_ar_garch, fit_ar_garch_block, fit_arma_css, fit_garch_block, fit_garch_qmle,
-    select_ar_order_aic,
+    FitResult, fit_ar_block, fit_ar_garch_block, fit_arma_css, fit_garch_block, select_ar_order_aic_block,
 )
 from .models import (
     _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _convert, _from_dict, _simulate_block, _to_dict, spec_from_dict,
 )
-from .residuals import LagCorrelations
+from .residuals import LagCorrelations, _lone
 
 CONFIG_SCHEMA_VERSION = 1
 # Replicates simulated and fitted together, as the rows of one block: at most
@@ -96,40 +95,51 @@ class FitterSpec:
 class _Fitter:
     """One fitter kind: its fitting call, the rows it drops from the front of
     the series, the largest order correction its fits carry, whether it
-    accepts a series of n values (the fitter's own length check), whether
-    its fits carry the conditional variances the Lb family needs, and its
-    call on an (R, n) stack of series, if it has one (see ``_fit_rows``)."""
+    accepts a series of n values (the fitter's own length check), and whether
+    its fits carry the conditional variances the Lb family needs. A call made
+    by ``_stacked`` also fits an (R, n) stack at once (see ``_fit_rows``)."""
 
     fit: Callable[[np.ndarray, FitterSpec], FitResult]
     lost_rows: Callable[[FitterSpec], int]
     max_correction: Callable[[FitterSpec], int]
     accepts: Callable[[FitterSpec, int], bool]
     variances: bool = False
-    fit_block: Callable[[np.ndarray, FitterSpec], list] | None = None
 
 
-# kind: _Fitter(fit, lost_rows, max_correction, accepts[, variances, fit_block])
+def _stacked(fit_block: Callable[[np.ndarray, FitterSpec], list]) -> Callable[[np.ndarray, FitterSpec], FitResult]:
+    """The fitting call of one series that is the block of one of ``fit_block``, kept as its ``block``."""
+
+    def fit(z: np.ndarray, spec: FitterSpec) -> FitResult:
+        return _lone(fit_block(np.asarray(z, dtype=float)[None], spec))
+
+    fit.block = fit_block
+    return fit
+
+
+# kind: _Fitter(fit, lost_rows, max_correction, accepts[, variances])
 _FITTERS = {
-    "none": _Fitter(lambda z, f: fit_ar(z, 0, intercept=False), lambda f: 0, lambda f: 0, lambda f, n: True),
+    "none": _Fitter(
+        _stacked(lambda zs, f: fit_ar_block(zs, 0, intercept=False)), lambda f: 0, lambda f: 0, lambda f, n: True
+    ),
     "ar": _Fitter(
-        lambda z, f: fit_ar(z, f.p, intercept=f.intercept), lambda f: f.p, lambda f: f.p, lambda f, n: n > 10 * f.p
+        _stacked(lambda zs, f: fit_ar_block(zs, f.p, intercept=f.intercept)), lambda f: f.p, lambda f: f.p,
+        lambda f, n: n > 10 * f.p,
     ),
     "arma": _Fitter(
         lambda z, f: fit_arma_css(z, f.p, f.q), lambda f: f.p, lambda f: f.p + f.q,
         lambda f, n: n > 10 * max(f.p, f.q, 1),
     ),
     "ar_aic": _Fitter(
-        lambda z, f: select_ar_order_aic(z, f.p_max, intercept=f.intercept), lambda f: f.p_max, lambda f: f.p_max,
-        lambda f, n: n > 10 * f.p_max,
+        _stacked(lambda zs, f: select_ar_order_aic_block(zs, f.p_max, intercept=f.intercept)), lambda f: f.p_max,
+        lambda f: f.p_max, lambda f, n: n > 10 * f.p_max,
     ),
     "garch": _Fitter(
-        lambda z, f: fit_garch_qmle(z, f.b, f.a), lambda f: 0, lambda f: 0, lambda f, n: n > 10 * (f.b + f.a), True,
-        lambda zs, f: fit_garch_block(zs, f.b, f.a),
+        _stacked(lambda zs, f: fit_garch_block(zs, f.b, f.a)), lambda f: 0, lambda f: 0,
+        lambda f, n: n > 10 * (f.b + f.a), True,
     ),
     "ar_garch": _Fitter(
-        lambda z, f: fit_ar_garch(z, f.p, f.b, f.a, intercept=f.intercept), lambda f: f.p, lambda f: f.p,
-        lambda f, n: n > 10 * f.p and n - f.p > 10 * (f.b + f.a), True,
-        lambda zs, f: fit_ar_garch_block(zs, f.p, f.b, f.a, intercept=f.intercept),
+        _stacked(lambda zs, f: fit_ar_garch_block(zs, f.p, f.b, f.a, intercept=f.intercept)), lambda f: f.p,
+        lambda f: f.p, lambda f, n: n > 10 * f.p and n - f.p > 10 * (f.b + f.a), True,
     ),
 }
 
@@ -265,16 +275,18 @@ def _fit_rows(rows: np.ndarray, fitter: FitterSpec):
     """Yield a resolved fitter's fit of each row of an (R, n) stack of series.
 
     Item r is row r's :class:`FitResult` or the :class:`PortmanteauError`
-    that stopped its fit, each what the row gives alone: a kind with a
-    ``fit_block`` fits the stack at once, the others fit a row as it is asked for.
+    that stopped its fit, each what the row gives alone: a kind whose call
+    has a ``block`` (see ``_stacked``) fits the stack at once, the others fit
+    a row as it is asked for.
     """
-    kind = _FITTERS[fitter.kind]
-    if kind.fit_block is not None:
-        yield from kind.fit_block(rows, fitter)
+    fit_one = _FITTERS[fitter.kind].fit
+    fit_block = getattr(fit_one, "block", None)
+    if fit_block is not None:
+        yield from fit_block(rows, fitter)
         return
     for z in rows:
         try:
-            fit = kind.fit(z, fitter)
+            fit = fit_one(z, fitter)
         except PortmanteauError as exc:
             fit = exc
         yield fit
@@ -395,17 +407,25 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
     return counts, degenerate, sim_failures, failures
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, where the platform has one), at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def run_experiment(exp: Experiment, workers: int | None = None, log=None) -> McTable:
     """Run the experiment, splitting replicates over a process pool.
 
     The resulting table is bitwise identical for any worker count because each
     replicate is seeded independently and only integer counts are merged.
+    ``workers=None`` starts one worker per CPU the process may run on.
     """
     exp.validate()
     t0 = time.perf_counter()
     reps = exp.replications
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _available_cpus()
     workers = max(1, min(workers, reps))
     if log:
         log(f"running {reps} replicates on {workers} worker(s)")

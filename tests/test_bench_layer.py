@@ -17,6 +17,7 @@ CELLS = {
     "simulate": (["model", "n", "block", "ms_per_path"], 7 * 2),
     "lag_kernel": (["n", "max_lag", "block", "us_per_series"], 2 * 2),
     "garch_qmle": (["order", "n", "ms_per_fit", "iterations", "loglik_mean", "block_ms_per_row"], 1),
+    "statistics": (["design", "n", "block", "us_per_series"], 2 * 2),
 }
 
 

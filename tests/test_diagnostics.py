@@ -82,6 +82,16 @@ def test_no_null_at_m_zero(name):
         null_distribution(name, 0)
 
 
+@pytest.mark.parametrize("name", ALL_STATISTICS)
+def test_a_memoized_null_is_the_null_and_an_error_raises_every_time(name):
+    null = null_distribution(name, 7, 1, (1, 0))
+    assert null_distribution(name, 7, 1, (1, 0)) is null
+    assert null == null_distribution.__wrapped__(name, 7, 1, (1, 0))
+    for _ in range(3):
+        with pytest.raises((InvalidOrder, NonPositiveDf)):
+            null_distribution(name, 0, 1, (1, 0))
+
+
 class TestGammaFromMoments:
     def test_equal_weights_give_chi_square(self):
         for m in (1, 5, 17):

@@ -4,9 +4,11 @@ Each fast path is checked against the implementation it replaced, kept here as
 the reference: scipy.stats' frozen-distribution survival functions for the
 p-values, a separate Durbin-Levinson run at every lag order for the PACF
 prefix rule, a fresh correlation pass at every m for the kernel, the per-lag
-dot-product loop for the stacked lag pass, a lone kernel for each row of a
-block kernel, and scipy.linalg.toeplitz for the Toeplitz gather. Equality is
-exact (bit for bit), with NaN matching NaN.
+dot-product loop for the stacked lag pass, the per-series recursion for the
+stacked Durbin-Levinson runs, one Cholesky per matrix for the stacked
+log-determinants, a lone kernel for each row of a block kernel, and
+scipy.linalg.toeplitz for the Toeplitz gather. Equality is exact (bit for
+bit), with NaN matching NaN.
 """
 
 import math
@@ -18,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dpotrf
 from scipy.stats import chi2, gamma
 
 from portmanteau import (
@@ -28,7 +31,7 @@ from portmanteau import (
     evaluate_statistics,
     make_residual_series,
 )
-from portmanteau.corrmat import _toeplitz
+from portmanteau.corrmat import CrossCorrMatrix, _toeplitz, block_logdet, build_block, build_toeplitz, toeplitz_logdet
 from portmanteau.diagnostics import (
     _chi2_dist,
     _pvalue,
@@ -36,7 +39,7 @@ from portmanteau.diagnostics import (
     cm_gamma_params,
     gamma_from_moments,
 )
-from portmanteau.errors import PortmanteauError, SingularToeplitz
+from portmanteau.errors import NotPositiveDefinite, PortmanteauError, SingularToeplitz
 from portmanteau.residuals import LagCorrelations, durbin_levinson_prefix, pacf_prefix
 from test_statistic_properties import SHAPES
 
@@ -241,6 +244,23 @@ def _reference_cross_corr(series, i: int, j: int, m: int) -> np.ndarray:
     return out
 
 
+def _reference_logdet(matrix) -> float:
+    """log|A| by one Cholesky and 2 sum log diag(L), the per-matrix code the stacked log-determinants replaced."""
+    c, info = dpotrf(matrix.entries, lower=1)
+    if info > 0:
+        raise NotPositiveDefinite(info)
+    return float(2.0 * np.sum(np.log(np.diag(c))))
+
+
+def _logdet_outcome(fn, *args):
+    """('logdet', bits) or ('not_pd', order) of a log-determinant, by ``_reference_logdet`` for a matrix."""
+    try:
+        value = _reference_logdet(fn) if isinstance(fn, CrossCorrMatrix) else fn(*args)
+    except NotPositiveDefinite as exc:
+        return ("not_pd", exc.pivot)
+    return ("logdet", value.hex())
+
+
 # Factors on the zero-lag variances of a block's rows. Below 1 they push the
 # correlations past what a sample can reach, so those rows' Durbin-Levinson
 # runs break down, each at an order of its own.
@@ -284,6 +304,30 @@ class TestBlockKernel:
                     assert _bits(row.rho(i, j, m)) == _bits(lone.rho(i, j, m)), (i, j, m)
                 for i in (1, 2):
                     assert _outcome(row.pacf, i, m) == _outcome(lone.pacf, i, m), (i, m)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 64), rows=st.integers(1, 70))
+    @example(seed=3, n=64, rows=70)
+    def test_rows_equal_the_per_series_pacf_and_log_determinants(self, seed, n, rows):
+        big_m = (n - 1) // 2
+        series = _block_series(seed, n, rows)
+        outcomes = set()
+        for s, row in zip(series, LagCorrelations.stack(series, big_m)):
+            lone = LagCorrelations(s, big_m)
+            for i in (1, 2):
+                rho = _reference_cross_corr(s, i, i, big_m)[1:]
+                assert _outcome(row.pacf, i, big_m) == _outcome(_reference_durbin_levinson, rho)
+            for m in range(1, big_m + 1):
+                for i, j in KINDS:
+                    for standardized in (False, True):
+                        expected = _logdet_outcome(build_toeplitz(lone, i, j, m, standardized))
+                        assert _logdet_outcome(toeplitz_logdet, row, i, j, m, standardized) == expected
+                        outcomes.add(expected[0])
+                expected = _logdet_outcome(build_block(lone, m))
+                assert _logdet_outcome(block_logdet, row, m) == expected
+                outcomes.add(expected[0])
+        # Row 0 has the hand-made alternating shape, some of whose matrices are not positive definite.
+        assert outcomes == {"logdet", "not_pd"}
 
     def test_rows_break_down_at_their_own_orders(self):
         series = _block_series(3, 100, 24)

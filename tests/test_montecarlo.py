@@ -18,6 +18,7 @@ from portmanteau import (
     run_experiment,
 )
 from portmanteau.errors import ConfigError, EmptySample, InvalidSpec
+from portmanteau import montecarlo
 from portmanteau.montecarlo import _block_rows
 
 
@@ -69,6 +70,19 @@ class TestRunExperiment:
         assert t1.cells == t2.cells == t3.cells
         assert t1.degenerate_count == t2.degenerate_count == t3.degenerate_count
         assert t1.fit_failures == t2.fit_failures == t3.fit_failures
+
+    def test_default_workers_follow_the_cpu_affinity(self, monkeypatch):
+        # One CPU in the mask: the run stays in this process, whatever os.cpu_count() says.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        logs = []
+        exp = _small_experiment(replications=4)
+        assert run_experiment(exp, log=logs.append).cells == run_experiment(exp, workers=1).cells
+        assert "on 1 worker(s)" in logs[0]
 
     def test_single_replication_gives_indicators(self):
         exp = _small_experiment(replications=1)
