@@ -18,6 +18,10 @@ BLOCKS:
   the mean of their times, with the mean ``iterations`` and log-likelihood.
   ``block_ms_per_row`` times one ``fit_garch_block`` call on the first R of
   those seeds, per row.
+- ``arma_css``: the same fields for each order (p, q) of ``ARMA_MODELS``
+  (three of ``tests/test_arma_css_floor.py``) and ``fit_arma_css``, the
+  block being the engine's ``montecarlo._fit_rows`` with an ARMA(p, q)
+  fitter, which fits the rows one by one where the fitter has no block call.
 - ``statistics``: for each design of ``DESIGNS`` (the ar_null workload's
   AR(1) with Cm at m = 10, the battery workload's TAR with its 18 statistics
   at m = 10 and 30), R paths at the default burn-in (seeds 1000..),
@@ -76,6 +80,12 @@ GARCH_MODELS = {
     (1, 1): {"omega": 0.1, "alpha": (0.1,), "beta": (0.8,)},
     (2, 1): {"omega": 0.1, "alpha": (0.1, 0.1), "beta": (0.6,)},
 }
+# ARMA(p, q) parameters by order, as in tests/test_arma_css_floor.py.
+ARMA_MODELS = {
+    (1, 1): {"phi": (0.6,), "theta": (0.3,)},
+    (2, 1): {"phi": (0.5, -0.3), "theta": (0.4,)},
+    (0, 2): {"theta": (0.5, -0.3)},
+}
 # Model name: a function of the loaded package giving the model.
 MODELS = {
     **{f"garch_{b}{a}": (lambda pkg, p=params: pkg.Garch(**p)) for (b, a), params in GARCH_MODELS.items()},
@@ -111,13 +121,13 @@ def _lag_kernel_cell(pkg, n: int, max_lag: int, block: int):
     return [call], lambda best: {"us_per_series": round(1e6 * best[0] / block, 2)}
 
 
-def _garch_qmle_cell(pkg, order: str, n: int):
-    b, a = (int(part) for part in order.split(","))
-    spec = pkg.ModelSpec(model=pkg.Garch(**GARCH_MODELS[b, a]), burn_in=200)
+def _fit_cell(pkg, model, n: int, fit_lone: Callable, fit_block: Callable):
+    """Lone fits of seeds 0..SERIES-1 of ``model`` at burn-in 200, then a block fit of the first R seeds per R."""
+    spec = pkg.ModelSpec(model=model, burn_in=200)
     rows = np.array([pkg.simulate(spec, n, seed) for seed in range(max(SERIES, *BLOCKS))])
-    fits = [pkg.fit_garch_qmle(z, b, a) for z in rows[:SERIES]]
-    calls = [lambda z=z: pkg.fit_garch_qmle(z, b, a) for z in rows[:SERIES]]
-    calls += [lambda part=rows[:size]: pkg.fitting.fit_garch_block(part, b, a) for size in BLOCKS]
+    fits = [fit_lone(z) for z in rows[:SERIES]]
+    calls = [lambda z=z: fit_lone(z) for z in rows[:SERIES]]
+    calls += [lambda part=rows[:size]: fit_block(part) for size in BLOCKS]
 
     def fields(best: list) -> dict:
         return {
@@ -128,6 +138,23 @@ def _garch_qmle_cell(pkg, order: str, n: int):
         }
 
     return calls, fields
+
+
+def _garch_qmle_cell(pkg, order: str, n: int):
+    b, a = (int(part) for part in order.split(","))
+    return _fit_cell(
+        pkg, pkg.Garch(**GARCH_MODELS[b, a]), n, lambda z: pkg.fit_garch_qmle(z, b, a),
+        lambda rows: pkg.fitting.fit_garch_block(rows, b, a),
+    )
+
+
+def _arma_css_cell(pkg, order: str, n: int):
+    p, q = (int(part) for part in order.split(","))
+    fitter = pkg.FitterSpec(kind="arma", p=p, q=q)
+    return _fit_cell(
+        pkg, pkg.Arma(**ARMA_MODELS[p, q]), n, lambda z: pkg.fit_arma_css(z, p, q),
+        lambda rows: list(pkg.montecarlo._fit_rows(rows, fitter)),
+    )
 
 
 def _statistics_cell(pkg, design: str, n: int, block: int):
@@ -181,6 +208,15 @@ LAYERS = {
         5,
         f"ms_per_fit: mean over seeds 0..{SERIES - 1} of a lone fit; block_ms_per_row: a block of the first R "
         "seeds, per row; burn-in 200",
+    ),
+    "arma_css": Layer(
+        "fitting.fit_arma_css",
+        lambda: {"order": [f"{p},{q}" for p, q in ARMA_MODELS], "n": SIZES},
+        _arma_css_cell,
+        {"ratio": "ms_per_fit", "block_ratio": "block_ms_per_row"},
+        3,
+        f"ms_per_fit: mean over seeds 0..{SERIES - 1} of a lone fit; block_ms_per_row: montecarlo._fit_rows on "
+        "the first R seeds, per row; burn-in 200",
     ),
     "statistics": Layer(
         "montecarlo.statistics",

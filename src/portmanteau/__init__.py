@@ -35,6 +35,7 @@ from .fitting import (
     fit_ar_block,
     fit_ar_garch,
     fit_ar_garch_block,
+    fit_arma_block,
     fit_arma_css,
     fit_garch_block,
     fit_garch_qmle,
@@ -142,6 +143,7 @@ __all__ = [
     "fit_ar_block",
     "fit_ar_garch",
     "fit_ar_garch_block",
+    "fit_arma_block",
     "fit_arma_css",
     "fit_garch_block",
     "fit_garch_qmle",

@@ -4,6 +4,11 @@ GARCH by Gaussian quasi-maximum likelihood.
 Every fit returns a :class:`FitResult` whose ``residuals`` carry the series the
 portmanteau statistics should be applied to: raw one-step errors for AR/ARMA
 fits, standardized residuals e_t / s_t for conditional-variance fits.
+
+Every fitter takes an (R, n) stack of series (``fit_*_block``; the one-series
+functions are the block of one) and gives each row bit for bit its lone fit.
+The ARMA and GARCH fits share one optimizer, ``_bfgs``: BFGS on an analytic
+gradient, run in lock step over the block's rows.
 """
 
 from __future__ import annotations
@@ -11,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from .errors import InvalidSpec, NonFinite, PortmanteauError, SingularDesign
-from .residuals import ResidualSeries, _lone, make_residual_series, residual_series_block
+from .residuals import ResidualSeries, _lone, residual_series_block
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 _LOG2 = float(np.log(2.0))
@@ -174,110 +178,240 @@ def select_ar_order_aic(series, p_max: int = 4, intercept: bool = True) -> FitRe
 
 
 # ---------------------------------------------------------------------------
+# BFGS in lock step over a block of runs
+# ---------------------------------------------------------------------------
+
+# Stop a BFGS run once its largest gradient component is at most this.
+_GTOL = 1e-6
+# Sufficient-decrease constant of the line search.
+_ARMIJO = 1e-4
+# Stop a BFGS run unconverged after this many iterations.
+_MAX_ITER = 4000
+# A rise of f by at most this times |f| is rounding (which is about 1e-15 |f| for a sum of n <= 2000 terms).
+_NOISE = 1e-13
+# The numerator of every recursion filter.
+_ONE = np.ones(1)
+
+
+def _line_search(x, f, g, p, slope, step, objective, data):
+    """Armijo backtracking along p from each row of x, in lock step: (x, f, g, moved) at the accepted points.
+
+    A row accepts the first step that lowers f by at least 1e-4 step |slope|,
+    shrinking the step by quadratic interpolation, kept within [0.1, 0.5] of
+    the last, on each refusal. Near an optimum the decrease drowns in the
+    rounding of f, so the full step is also accepted when f rises by at most
+    ``_NOISE`` |f| and the largest gradient component shrinks. A row whose step
+    no longer moves x keeps (x, f, g) and is not ``moved``.
+    """
+    trial = x + step[:, None] * p
+    f_trial, g_trial = objective(trial, *data)
+    decrease = f_trial - f
+    moved = (decrease < 0.0) & (decrease <= _ARMIJO * step * slope)
+    if moved.all():
+        return trial, f_trial, g_trial, moved
+    moved |= (decrease <= _NOISE * np.abs(f)) & (np.abs(g_trial).max(axis=1) < np.abs(g).max(axis=1))
+    keep = moved[:, None]
+    x_new, f_new, g_new = np.where(keep, trial, x), np.where(moved, f_trial, f), np.where(keep, g_trial, g)
+    rows = np.flatnonzero(~moved)
+    step, decrease, trial = step[rows], decrease[rows], trial[rows]
+    while True:
+        shrink = np.any(trial != x[rows], axis=1)
+        curve = 2.0 * (decrease - step * slope[rows])
+        step = np.clip(-slope[rows] * step * step / curve, 0.1 * step, 0.5 * step)[shrink]
+        rows = rows[shrink]
+        if not rows.size:
+            return x_new, f_new, g_new, moved
+        trial = x[rows] + step[:, None] * p[rows]
+        f_trial, g_trial = objective(trial, *(part[rows] for part in data))
+        decrease = f_trial - f[rows]
+        ok = (decrease < 0.0) & (decrease <= _ARMIJO * step * slope[rows])
+        done = rows[ok]
+        x_new[done], f_new[done], g_new[done] = trial[ok], f_trial[ok], g_trial[ok]
+        moved[done] = True
+        rows, step, decrease, trial = rows[~ok], step[~ok], decrease[~ok], trial[~ok]
+
+
+def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, objective, data: tuple):
+    """Minimize ``objective`` by BFGS from each row of x, the runs in lock step.
+
+    ``objective(x, *data)`` gives (f, g), the value and gradient at each row
+    of x, where ``data`` is a tuple of arrays with one row per run; it is
+    called on the live runs' rows of x and of each part of ``data``, so row
+    r's arithmetic must not depend on the other rows. ``f`` and ``g`` are the
+    values at x. A run converges when its largest gradient component is at
+    most ``_GTOL``; it stops unconverged when its line search cannot move x
+    or after ``_MAX_ITER`` iterations. The first step moves x by at most 1,
+    as in scipy's BFGS; the inverse Hessian starts at the identity, skips an
+    update whose curvature s.y is not positive, and restarts at the identity
+    if its direction is not a descent one. Returns the final (x, f,
+    converged, iterations) of each run. A run that stops leaves the stack,
+    so each step costs numpy calls on the live runs only.
+    """
+    d = x.shape[1]
+    out = [x.copy(), f.copy(), np.abs(g).max(axis=1) <= _GTOL, np.zeros(len(x), dtype=int)]
+    live = np.flatnonzero(~out[2])
+    x, f, g, data = x[live], f[live], g[live], tuple(part[live] for part in data)
+    inverse = np.tile(np.eye(d), (live.size, 1, 1))
+    step = 1.0 / np.maximum(1.0, np.sqrt(np.add.reduce(g * g, axis=1)))
+    iteration = 0
+    while live.size:
+        p = -np.add.reduce(inverse * g[:, None, :], axis=2)
+        slope = np.add.reduce(g * p, axis=1)
+        uphill = slope >= 0.0
+        if uphill.any():
+            inverse[uphill] = np.eye(d)
+            p[uphill] = -g[uphill]
+            slope[uphill] = -np.add.reduce(g[uphill] * g[uphill], axis=1)
+        x_new, f_new, g_new, moved = _line_search(x, f, g, p, slope, step, objective, data)
+        iteration += 1
+        s, y = x_new - x, g_new - g
+        sy = np.add.reduce(s * y, axis=1)
+        update = moved & (sy > 0.0)
+        rho = 1.0 / np.where(update, sy, 1.0)
+        hy = np.add.reduce(inverse * y[:, None, :], axis=2)
+        scale = rho + rho * rho * np.add.reduce(y * hy, axis=1)
+        # H += (rho + rho^2 y.Hy) s s^T - rho (s (Hy)^T + Hy s^T), the BFGS update of the inverse Hessian
+        cross = s[:, :, None] * hy[:, None, :]
+        change = scale[:, None, None] * (s[:, :, None] * s[:, None, :])
+        change -= rho[:, None, None] * (cross + cross.transpose(0, 2, 1))
+        inverse += np.where(update[:, None, None], change, 0.0)
+        x, f, g, step = x_new, f_new, g_new, np.ones(live.size)
+        converged = np.abs(g).max(axis=1) <= _GTOL
+        stop = converged | ~moved | (iteration >= _MAX_ITER)
+        if stop.any():
+            gone = live[stop]
+            out[0][gone], out[1][gone], out[2][gone] = x[stop], f[stop], converged[stop]
+            out[3][gone] = iteration - ~moved[stop]
+            go = ~stop
+            live, x, f, g, inverse, step = live[go], x[go], f[go], g[go], inverse[go], step[go]
+            data = tuple(part[go] for part in data)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # ARMA by conditional sum of squares
 # ---------------------------------------------------------------------------
 
 
-def _css_residuals(z: np.ndarray, mu: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """One-step errors conditioning on the first p observations, zero pre-sample errors."""
-    p, q = phi.size, theta.size
-    w = z - mu
-    n = w.size
-    rhs = w[p:].copy()
+def _css_score(x: np.ndarray, z: np.ndarray, p: int, q: int):
+    """Conditional sum of squares at each row of x = (mu, phi, theta), its gradient in x, and the errors.
+
+    z is (R, n), one row per row of x. The one-step errors condition on the
+    first p observations with zero pre-sample errors: eps_t = w_t - sum_j
+    phi_j w_{t-j} - sum_i theta_i eps_{t-i} with w = z - mu, for t > p. Their
+    derivatives in mu, phi_j and theta_i are -(1 - sum phi), -w_{t-j} and
+    -eps_{t-i}, each filtered by 1/theta(B) (one ``lfilter`` per row for the
+    errors and one for their derivatives), and the gradient is 2 sum eps_t
+    d eps_t. A point whose CSS or gradient is not
+    finite gets 1e300 and a zero gradient; the caller silences the
+    floating-point warnings such a point raises.
+    """
+    count, n = z.shape
+    phi, theta = x[:, 1 : 1 + p], x[:, 1 + p :]
+    w = z - x[:, :1]
+    drive = np.zeros((count, 1 + p + q, n - p))
+    drive[:, 0] = -(1.0 - np.add.reduce(phi, axis=1))[:, None]
+    eps = w[:, p:].copy()
     for j in range(1, p + 1):
-        rhs -= phi[j - 1] * w[p - j : n - j]
-    if q == 0:
-        return rhs
-    # eps_t = rhs_t - theta_1 eps_{t-1} - ... - theta_q eps_{t-q}
-    return lfilter([1.0], np.concatenate(([1.0], theta)), rhs)
+        eps -= phi[:, j - 1 : j] * w[:, p - j : n - j]
+        drive[:, j] = -w[:, p - j : n - j]
+    if q:
+        den = np.concatenate((np.ones((count, 1)), theta), axis=1)
+        for r in range(count):
+            eps[r] = lfilter(_ONE, den[r], eps[r])
+        for i in range(1, q + 1):
+            drive[:, p + i, i:] = -eps[:, : n - p - i]
+        for r in range(count):
+            drive[r] = lfilter(_ONE, den[r], drive[r], axis=1)
+    css = np.add.reduce(eps * eps, axis=1)
+    grad = 2.0 * np.add.reduce(drive * eps[:, None, :], axis=2)
+    bad = ~(np.isfinite(css) & np.isfinite(grad).all(axis=1))
+    grad[bad] = 0.0
+    return np.where(bad, 1e300, css), grad, eps
 
 
 def _reflect_ma_roots(theta: np.ndarray) -> tuple[np.ndarray, bool]:
     """Move any moving-average root inside the unit circle to its reciprocal."""
-    if theta.size == 0:
-        return theta, False
-    poly = np.concatenate(([1.0], theta))  # ascending in B
-    roots = np.roots(poly[::-1])
+    roots = np.roots(np.concatenate((theta[::-1], [1.0])))  # of theta(B), coefficients descending in B
     inside = np.abs(roots) < 1.0 - 1e-12
     if not inside.any():
         return theta, False
     roots[inside] = 1.0 / np.conj(roots[inside])
     new = np.poly(roots)  # descending, monic
-    new = new / new[-1]  # normalize constant term to 1
-    return new[::-1][1:].real, True
+    return (new[::-1][1:] / new[-1]).real, True  # constant term normalized to 1
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def fit_arma_block(rows, p: int, q: int) -> list:
+    """``fit_arma_css`` of each row of an (R, n) stack, the BFGS runs in lock step.
+
+    Entry r is row r's :class:`FitResult` or the :class:`PortmanteauError`
+    that stops its fit, bit for bit what the row gives alone. A row starts
+    from its mean and, when p > 0, the coefficients of its least-squares
+    AR(p) fit (``fit_ar_block``, whose error a row that fails it keeps).
+    """
+    z = np.asarray(rows, dtype=float)
+    count, n = z.shape
+    if n <= 10 * max(p, q, 1):
+        return [InvalidSpec(f"series too short (n = {n}) for ARMA({p},{q}) estimation")] * count
+    out = fit_ar_block(z, p) if p else [None] * count
+    live = np.array([r for r, fit in enumerate(out) if not isinstance(fit, PortmanteauError)], dtype=int)
+    z = z[live]
+    x = np.zeros((live.size, 1 + p + q))
+    x[:, 0] = z.mean(axis=1)
+    if p:
+        x[:, 1 : 1 + p] = np.reshape([out[r].params["phi"] for r in live], (-1, p))
+    css, grad, _ = _css_score(x, z, p, q)
+    # BFGS runs in units where the CSS at the start is near 1 and mu is counted
+    # in root mean square errors at the start, each unit a power of two so the
+    # change is exact: then _GTOL means the same whatever the series' scale and length.
+    scale = np.ldexp(1.0, -np.frexp(css)[1])
+    unit = np.ones_like(x)
+    unit[:, 0] = np.ldexp(1.0, np.frexp(np.sqrt(css / (n - p)))[1])
+
+    def objective(u, zs, unit, scale):
+        css, grad, _ = _css_score(u * unit, zs, p, q)
+        return css * scale, grad * unit * scale[:, None]
+
+    u, _, converged, iterations = _bfgs(
+        x / unit, css * scale, grad * unit * scale[:, None], objective, (z, unit, scale)
+    )
+    x = u * unit
+    reflected = [False] * live.size
+    for k in range(live.size):
+        x[k, 1 + p :], reflected[k] = _reflect_ma_roots(x[k, 1 + p :])
+    _, _, eps = _css_score(x, z, p, q)
+    sigma2 = np.matmul(eps[:, None, :], eps[:, :, None])[:, 0, 0] / (n - p)
+    log_sigma2 = np.log(sigma2)
+    for k, (r, residuals) in enumerate(zip(live, residual_series_block(eps))):
+        if isinstance(residuals, PortmanteauError):
+            out[r] = residuals
+            continue
+        out[r] = FitResult(
+            kind="arma",
+            order=(p, q),
+            params={"mu": float(x[k, 0]), "phi": tuple(x[k, 1 : 1 + p]), "theta": tuple(x[k, 1 + p :]),
+                    "sigma2": float(sigma2[k])},
+            residuals=residuals,
+            loglik=float(-0.5 * (n - p) * (_LOG2PI + log_sigma2[k] + 1.0)),
+            aic=float(n * log_sigma2[k] + 2.0 * (p + q + 1)),
+            converged=bool(converged[k]),
+            iterations=int(iterations[k]),
+            flags=("non_convergence",) * (not converged[k]) + ("reflected_ma_roots",) * reflected[k],
+        )
+    return out
 
 
 def fit_arma_css(series, p: int, q: int) -> FitResult:
-    """Minimize the conditional sum of squares over (mu, phi, theta).
+    """Minimize the conditional sum of squares over (mu, phi, theta): ``fit_arma_block`` of one row.
 
-    A derivative-free simplex search is used, for at most 2000 iterations and
-    8000 objective evaluations; convergence is declared when the objective
-    spread drops below 1e-10 (the ``converged`` flag reports which exit was
-    taken). Non-invertible moving-average estimates are reflected to
-    their invertible equivalents and flagged.
+    The CSS is minimized by BFGS on its analytic gradient (``_css_score``,
+    ``_bfgs``) for at most ``_MAX_ITER`` iterations; the fit converges when
+    the largest gradient component falls to ``_GTOL`` (the ``converged``
+    flag reports which exit was taken). Non-invertible moving-average
+    estimates are reflected to their invertible equivalents and flagged.
     """
-    z = np.asarray(series, dtype=float)
-    n = z.size
-    if n <= 10 * max(p, q, 1):
-        raise InvalidSpec(f"series too short (n = {n}) for ARMA({p},{q}) estimation")
-    if p == 0 and q == 0:
-        mu = float(z.mean())
-        resid = z - mu
-        sigma2 = float(resid @ resid) / n
-        loglik = -0.5 * n * (_LOG2PI + np.log(sigma2) + 1.0)
-        return FitResult(
-            kind="arma",
-            order=(0, 0),
-            params={"mu": mu, "phi": (), "theta": (), "sigma2": sigma2},
-            residuals=make_residual_series(resid),
-            loglik=float(loglik),
-            aic=float(n * np.log(sigma2) + 2.0),
-            converged=True,
-            iterations=0,
-        )
-
-    init_mu = float(z.mean())
-    init_phi = np.zeros(p)
-    if p > 0:
-        init_phi = np.asarray(fit_ar(z, p).params["phi"])
-    x0 = np.concatenate(([init_mu], init_phi, np.zeros(q)))
-
-    def objective(x: np.ndarray) -> float:
-        mu, phi, theta = x[0], x[1 : 1 + p], x[1 + p :]
-        eps = _css_residuals(z, mu, phi, theta)
-        css = float(eps @ eps)
-        if not np.isfinite(css):
-            return 1e300
-        return css
-
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"fatol": 1e-10, "xatol": 1e-8, "maxiter": 2000, "maxfev": 8000},
-    )
-    flags = []
-    if not res.success:
-        flags.append("non_convergence")
-    mu = float(res.x[0])
-    phi = res.x[1 : 1 + p]
-    theta, reflected = _reflect_ma_roots(res.x[1 + p :])
-    if reflected:
-        flags.append("reflected_ma_roots")
-    resid = _css_residuals(z, mu, phi, theta)
-    sigma2 = float(resid @ resid) / resid.size
-    loglik = -0.5 * resid.size * (_LOG2PI + np.log(sigma2) + 1.0)
-    return FitResult(
-        kind="arma",
-        order=(p, q),
-        params={"mu": mu, "phi": tuple(phi), "theta": tuple(theta), "sigma2": sigma2},
-        residuals=make_residual_series(resid),
-        loglik=float(loglik),
-        aic=float(n * np.log(sigma2) + 2.0 * (p + q + 1)),
-        converged=bool(res.success),
-        iterations=int(res.nit),
-        flags=tuple(flags),
-    )
+    return _lone(fit_arma_block(np.asarray(series, dtype=float)[None], p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +423,6 @@ def fit_arma_css(series, p: int, q: int) -> FitResult:
 # elementwise, or a reduction along the last axis of one row, or one call per
 # row, so a row's bits do not depend on the rows stacked with it.
 
-# Stop a BFGS run once its largest score component is at most this.
-_GTOL = 1e-6
-# Sufficient-decrease constant of the line search.
-_ARMIJO = 1e-4
-# Stop a BFGS run unconverged after this many iterations.
-_MAX_ITER = 4000
-# A rise of the NLL by at most this times |f| is rounding (which is about 1e-15 |f| for n <= 2000).
-_NOISE = 1e-13
-# The numerator of every variance-recursion filter.
-_ONE = np.ones(1)
 # Persistence splits (alpha mass, beta mass) a fit starts from, by whether it has a beta.
 _START_SPLITS = {False: ((0.3, 0.0), (0.1, 0.0)), True: ((0.3, 0.4), (0.05, 0.85), (0.45, 0.1), (0.1, 0.2))}
 
@@ -418,98 +542,6 @@ def _garch_nll_score(x: np.ndarray, padded: np.ndarray, eps2: np.ndarray, v0, b:
     return val, grad
 
 
-def _line_search(x, f, g, p, slope, step, data, b, a):
-    """Armijo backtracking along p from each row of x, in lock step: (x, f, g, moved) at the accepted points.
-
-    A row accepts the first step that lowers f by at least 1e-4 step |slope|,
-    shrinking the step by quadratic interpolation, kept within [0.1, 0.5] of
-    the last, on each refusal. Near an optimum the decrease drowns in the
-    rounding of f, so the full step is also accepted when f rises by at most
-    ``_NOISE`` |f| and the largest score component shrinks. A row whose step
-    no longer moves x keeps (x, f, g) and is not ``moved``.
-    """
-    trial = x + step[:, None] * p
-    f_trial, g_trial = _garch_nll_score(trial, *data, b, a)
-    decrease = f_trial - f
-    moved = (decrease < 0.0) & (decrease <= _ARMIJO * step * slope)
-    if moved.all():
-        return trial, f_trial, g_trial, moved
-    moved |= (decrease <= _NOISE * np.abs(f)) & (np.abs(g_trial).max(axis=1) < np.abs(g).max(axis=1))
-    keep = moved[:, None]
-    x_new, f_new, g_new = np.where(keep, trial, x), np.where(moved, f_trial, f), np.where(keep, g_trial, g)
-    rows = np.flatnonzero(~moved)
-    step, decrease, trial = step[rows], decrease[rows], trial[rows]
-    while True:
-        shrink = np.any(trial != x[rows], axis=1)
-        curve = 2.0 * (decrease - step * slope[rows])
-        step = np.clip(-slope[rows] * step * step / curve, 0.1 * step, 0.5 * step)[shrink]
-        rows = rows[shrink]
-        if not rows.size:
-            return x_new, f_new, g_new, moved
-        trial = x[rows] + step[:, None] * p[rows]
-        f_trial, g_trial = _garch_nll_score(trial, *(part[rows] for part in data), b, a)
-        decrease = f_trial - f[rows]
-        ok = (decrease < 0.0) & (decrease <= _ARMIJO * step * slope[rows])
-        done = rows[ok]
-        x_new[done], f_new[done], g_new[done] = trial[ok], f_trial[ok], g_trial[ok]
-        moved[done] = True
-        rows, step, decrease, trial = rows[~ok], step[~ok], decrease[~ok], trial[~ok]
-
-
-def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, data: tuple, b: int, a: int):
-    """Minimize the GARCH NLL by BFGS from each row of x, the runs in lock step.
-
-    ``f`` and ``g`` are the NLL and score at x, and ``data`` is (padded,
-    eps2, v0), one row per run. A run converges when its largest score
-    component is at most ``_GTOL``; it stops unconverged when its line
-    search cannot move x or after ``_MAX_ITER`` iterations. The first
-    step moves x by at most 1, as in scipy's BFGS; the inverse Hessian starts
-    at the identity, skips an update whose curvature s.y is not positive, and
-    restarts at the identity if its direction is not a descent one. Returns
-    the final (x, nll, converged, iterations) of each run. A run that stops
-    leaves the stack, so each step costs numpy calls on the live runs only.
-    """
-    d = x.shape[1]
-    out = [x.copy(), f.copy(), np.abs(g).max(axis=1) <= _GTOL, np.zeros(len(x), dtype=int)]
-    live = np.flatnonzero(~out[2])
-    x, f, g, data = x[live], f[live], g[live], tuple(part[live] for part in data)
-    inverse = np.tile(np.eye(d), (live.size, 1, 1))
-    step = 1.0 / np.maximum(1.0, np.sqrt(np.add.reduce(g * g, axis=1)))
-    iteration = 0
-    while live.size:
-        p = -np.add.reduce(inverse * g[:, None, :], axis=2)
-        slope = np.add.reduce(g * p, axis=1)
-        uphill = slope >= 0.0
-        if uphill.any():
-            inverse[uphill] = np.eye(d)
-            p[uphill] = -g[uphill]
-            slope[uphill] = -np.add.reduce(g[uphill] * g[uphill], axis=1)
-        x_new, f_new, g_new, moved = _line_search(x, f, g, p, slope, step, data, b, a)
-        iteration += 1
-        s, y = x_new - x, g_new - g
-        sy = np.add.reduce(s * y, axis=1)
-        update = moved & (sy > 0.0)
-        rho = 1.0 / np.where(update, sy, 1.0)
-        hy = np.add.reduce(inverse * y[:, None, :], axis=2)
-        scale = rho + rho * rho * np.add.reduce(y * hy, axis=1)
-        # H += (rho + rho^2 y.Hy) s s^T - rho (s (Hy)^T + Hy s^T), the BFGS update of the inverse Hessian
-        cross = s[:, :, None] * hy[:, None, :]
-        change = scale[:, None, None] * (s[:, :, None] * s[:, None, :])
-        change -= rho[:, None, None] * (cross + cross.transpose(0, 2, 1))
-        inverse += np.where(update[:, None, None], change, 0.0)
-        x, f, g, step = x_new, f_new, g_new, np.ones(live.size)
-        converged = np.abs(g).max(axis=1) <= _GTOL
-        stop = converged | ~moved | (iteration >= _MAX_ITER)
-        if stop.any():
-            gone = live[stop]
-            out[0][gone], out[1][gone], out[2][gone] = x[stop], f[stop], converged[stop]
-            out[3][gone] = iteration - ~moved[stop]
-            go = ~stop
-            live, x, f, g, inverse, step = live[go], x[go], f[go], g[go], inverse[go], step[go]
-            data = tuple(part[go] for part in data)
-    return tuple(out)
-
-
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def fit_garch_block(rows, b: int, a: int) -> list:
     """Gaussian QMLE of a GARCH(b, a) variance recursion on each zero-mean row of an (R, n) stack.
@@ -580,7 +612,10 @@ def fit_garch_block(rows, b: int, a: int) -> list:
         x[:, k, 1:] = np.log(np.clip(start, 1e-10, None) / slack)
     x = x.reshape(-1, 1 + b + a)
     data = tuple(np.repeat(part, width, axis=0) for part in (padded, eps2, v0))
-    nll, grad = _garch_nll_score(x, *data, b, a)
+    def objective(x, *rows):
+        return _garch_nll_score(x, *rows, b, a)
+
+    nll, grad = objective(x, *data)
     # The better half by starting NLL runs first (the sort is stable, so ties
     # keep split order). Only when no run of it converged to the kept NLL do
     # the other splits run too, and then the fit is the one all splits give.
@@ -592,7 +627,7 @@ def fit_garch_block(rows, b: int, a: int) -> list:
     for stage in (ranked[:, : width // 2], ranked[:, width // 2 :]):
         runs = stage[pending].ravel()
         x[runs], nll[runs], success[runs], iterations[runs] = _bfgs(
-            x[runs], nll[runs], grad[runs], tuple(part[runs] for part in data), b, a
+            x[runs], nll[runs], grad[runs], objective, tuple(part[runs] for part in data)
         )
         made[runs] = True
         tried = np.where(made, nll, np.inf).reshape(-1, width)

@@ -27,7 +27,7 @@ from .corrmat import _check_order
 from .diagnostics import ALL_STATISTICS, TestReport, evaluate_statistics, null_distribution
 from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, LagTooLarge, NonPositiveDf, PortmanteauError
 from .fitting import (
-    FitResult, fit_ar_block, fit_ar_garch_block, fit_arma_css, fit_garch_block, select_ar_order_aic_block,
+    FitResult, fit_ar_block, fit_ar_garch_block, fit_arma_block, fit_garch_block, select_ar_order_aic_block,
 )
 from .models import (
     _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _convert, _from_dict, _simulate_block, _to_dict, spec_from_dict,
@@ -126,7 +126,7 @@ _FITTERS = {
         lambda f, n: n > 10 * f.p,
     ),
     "arma": _Fitter(
-        lambda z, f: fit_arma_css(z, f.p, f.q), lambda f: f.p, lambda f: f.p + f.q,
+        _stacked(lambda zs, f: fit_arma_block(zs, f.p, f.q)), lambda f: f.p, lambda f: f.p + f.q,
         lambda f, n: n > 10 * max(f.p, f.q, 1),
     ),
     "ar_aic": _Fitter(
@@ -276,8 +276,8 @@ def _fit_rows(rows: np.ndarray, fitter: FitterSpec):
 
     Item r is row r's :class:`FitResult` or the :class:`PortmanteauError`
     that stopped its fit, each what the row gives alone: a kind whose call
-    has a ``block`` (see ``_stacked``) fits the stack at once, the others fit
-    a row as it is asked for.
+    has a ``block`` (see ``_stacked``; every row of ``_FITTERS`` has one) fits
+    the stack at once, any other call fits a row as it is asked for.
     """
     fit_one = _FITTERS[fitter.kind].fit
     fit_block = getattr(fit_one, "block", None)

@@ -12,8 +12,8 @@ correlation the statistics use comes from one lag kernel,
 :class:`LagCorrelations`: for a stack of equal-length series and a largest
 lag M it computes the four kinds rho_11, rho_22, rho_12 and rho_21 over lags
 0..M once, one stacked dot product per lag for every row and kind, and runs
-the Durbin-Levinson recursion at most once, on both autocorrelation kinds of
-every row in lock step (``durbin_levinson_rows``). Every smaller lag order m
+the Durbin-Levinson recursion at most once per autocorrelation kind, on every
+row in lock step (``durbin_levinson_rows``). Every smaller lag order m
 reads a prefix of those sequences, which is bit for bit what a separate
 computation at m gives, because no lag's value depends on M.
 ``cross_corr_sequence``, ``correlogram`` and the statistics in
@@ -261,12 +261,6 @@ def durbin_levinson(rho: np.ndarray) -> np.ndarray:
     return pacf_prefix(durbin_levinson_prefix(rho), rho.size)
 
 
-def _pacf_runs(rho: np.ndarray) -> list:
-    """Per row of a lag pass, the Durbin-Levinson runs of rho_11 and of rho_22, in one stacked run."""
-    runs = durbin_levinson_rows(rho[:, (0, 1), (0, 1), 1:].reshape(-1, rho.shape[-1] - 1))
-    return list(zip(runs[0::2], runs[1::2]))
-
-
 class _LagBlock:
     """Equal-length residual series and, from its first use, their lag pass at largest lag M.
 
@@ -366,10 +360,12 @@ class LagCorrelations:
     def pacf(self, i: int, m: int) -> np.ndarray:
         """pi_1..pi_m of rho_ii; raises :class:`SingularToeplitz` like ``durbin_levinson``.
 
-        Both autocorrelation kinds of every row of the block run in one stack.
+        The rho_ii of every row of the block run in one stack; the other kind
+        runs only when it is read.
         """
         _check_power(i)
-        return pacf_prefix(self.shared("pacf", self.max_lag, _pacf_runs)[i - 1], m)
+        runs = self.shared(("pacf", i), self.max_lag, lambda rho: durbin_levinson_rows(rho[:, i - 1, i - 1, 1:]))
+        return pacf_prefix(runs, m)
 
     def correlogram(self, i: int, j: int, m: int, standardized: bool = False) -> CorrSequence:
         """rho_ij(k) for k = 1..m as a :class:`CorrSequence`."""

@@ -1,7 +1,7 @@
 """Block fits: each row of a block fit is the fit its series gives alone, bit for bit.
 
 This covers the GARCH fits, the least-squares AR fits (with the AIC order
-choice) and the stacked residual series every fit ends in.
+choice), the ARMA CSS fits and the stacked residual series every fit ends in.
 
 The engine fits a block of replicates at once, so its tables depend on
 neither the block size nor the chunk split only because of this property.
@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portmanteau import (
-    Arma, ArmaGarch, Garch, ModelSpec, fit_ar, fit_ar_garch, fit_garch_qmle, make_residual_series, select_ar_order_aic,
+    Arma, ArmaGarch, Garch, ModelSpec, fit_ar, fit_ar_garch, fit_arma_block, fit_arma_css, fit_garch_qmle,
+    make_residual_series, select_ar_order_aic,
 )
-from portmanteau.errors import DegenerateVariance, NonFinite, SingularDesign
+from portmanteau.errors import DegenerateVariance, InvalidSpec, NonFinite, SingularDesign
 from portmanteau.fitting import fit_ar_block, fit_ar_garch_block, fit_garch_block, select_ar_order_aic_block
 from portmanteau.models import _simulate_block
 from portmanteau.residuals import VARIANCE_FLOOR, residual_series_block
@@ -229,3 +230,56 @@ def test_a_failing_residual_row_fails_as_it_does_alone():
             assert _reference_residual_series(z) is type(entry)
         else:
             assert _series_bits(entry) == _series_bits(make_residual_series(z))
+
+
+# ARMA fits by conditional sum of squares: the BFGS runs of a block go in lock
+# step, and each row must still be its lone fit bit for bit.
+
+ARMA_ORDERS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (0, 2)]
+
+
+def _assert_same_arma_fit(block, lone):
+    assert (block.kind, block.order, repr(block.params), block.flags) == (
+        lone.kind, lone.order, repr(lone.params), lone.flags
+    )
+    assert (block.loglik.hex(), block.aic.hex(), block.converged, block.iterations) == (
+        lone.loglik.hex(), lone.aic.hex(), lone.converged, lone.iterations
+    )
+    assert _series_bits(block.residuals) == _series_bits(lone.residuals)
+
+
+@pytest.mark.parametrize("order", ARMA_ORDERS)
+@settings(max_examples=2, deadline=None)
+@given(size=st.integers(1, 40), base=st.integers(0, 2**64 - 1), n=st.integers(60, 150))
+@example(size=40, base=2**64 - 1, n=60)
+def test_each_arma_row_is_its_lone_fit(order, size, base, n):
+    seeds = [(base + 7919 * k) % 2**64 for k in range(size)]
+    paths, finite = _simulate_block(ModelSpec(model=Arma(phi=(0.6,), theta=(0.3,)), burn_in=50), n, seeds)
+    assert finite.all()
+    rows = paths * np.array([1e-3, 1.0, 1e3])[np.arange(size) % 3, None]
+    fits = fit_arma_block(rows, *order)
+    assert len(fits) == size
+    for z, fit in zip(rows, fits):
+        _assert_same_arma_fit(fit, fit_arma_css(z, *order))
+
+
+@pytest.mark.parametrize("order", ARMA_ORDERS)
+def test_a_failing_arma_row_fails_as_it_does_alone(order):
+    p, q = order
+    paths, _ = _simulate_block(ModelSpec(model=Arma(phi=(0.6,), theta=(0.3,)), burn_in=50), 100, [3, 4])
+    # A constant row, and a row of period 2, whose AR(2) starting design is singular.
+    rows = np.array([paths[0], np.full(100, 2.5), np.tile([1.0, -1.0], 50), paths[1]])
+    fits = fit_arma_block(rows, p, q)
+    assert type(fits[1]) is (SingularDesign if p else DegenerateVariance)
+    if p == 2:
+        assert type(fits[2]) is SingularDesign
+    for z, fit in zip(rows, fits):
+        if isinstance(fit, Exception):
+            with pytest.raises(type(fit)):
+                fit_arma_css(z, p, q)
+        else:
+            _assert_same_arma_fit(fit, fit_arma_css(z, p, q))
+    short = rows[:, : 10 * max(p, q, 1)]
+    assert all(type(fit) is InvalidSpec for fit in fit_arma_block(short, p, q))
+    with pytest.raises(InvalidSpec):
+        fit_arma_css(short[0], p, q)
