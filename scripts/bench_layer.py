@@ -21,7 +21,7 @@ BLOCKS:
 - ``arma_css``: the same fields for each order (p, q) of ``ARMA_MODELS``
   (three of ``tests/test_arma_css_floor.py``) and ``fit_arma_css``, the
   block being the engine's ``montecarlo._fit_rows`` with an ARMA(p, q)
-  fitter, which fits the rows one by one where the fitter has no block call.
+  fitter.
 - ``statistics``: for each design of ``DESIGNS`` (the ar_null workload's
   AR(1) with Cm at m = 10, the battery workload's TAR with its 18 statistics
   at m = 10 and 30), R paths at the default burn-in (seeds 1000..),

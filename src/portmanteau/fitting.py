@@ -19,6 +19,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import InvalidSpec, NonFinite, PortmanteauError, SingularDesign
+from .models import _lag_roots
 from .residuals import ResidualSeries, _lone, residual_series_block
 
 _LOG2PI = float(np.log(2.0 * np.pi))
@@ -186,7 +187,7 @@ _GTOL = 1e-6
 # Sufficient-decrease constant of the line search.
 _ARMIJO = 1e-4
 # Stop a BFGS run unconverged after this many iterations.
-_MAX_ITER = 4000
+_MAX_ITER = 500
 # A rise of f by at most this times |f| is rounding (which is about 1e-15 |f| for a sum of n <= 2000 terms).
 _NOISE = 1e-13
 # The numerator of every recursion filter.
@@ -332,7 +333,7 @@ def _css_score(x: np.ndarray, z: np.ndarray, p: int, q: int):
 
 def _reflect_ma_roots(theta: np.ndarray) -> tuple[np.ndarray, bool]:
     """Move any moving-average root inside the unit circle to its reciprocal."""
-    roots = np.roots(np.concatenate((theta[::-1], [1.0])))  # of theta(B), coefficients descending in B
+    roots = _lag_roots(-theta)  # of theta(B) = 1 + theta_1 B + ...
     inside = np.abs(roots) < 1.0 - 1e-12
     if not inside.any():
         return theta, False

@@ -66,14 +66,17 @@ def _draws(innovation: Innovation, rngs, total: int) -> np.ndarray:
     return np.stack([innovation.draw(rng, total) for rng in rngs])
 
 
-def _check_roots(coeffs, error: type[Exception], label: str) -> None:
-    """Raise ``error`` unless 1 - a1 z - ... - ap z^p has every root beyond 1 + 1e-10 in modulus."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size == 0:
-        return
-    roots = np.roots(np.concatenate(([1.0], -coeffs))[::-1])
+def _lag_roots(coeffs) -> np.ndarray:
+    """The roots of the lag polynomial 1 - a1 z - ... - ap z^p."""
+    return np.roots(np.concatenate(([1.0], -np.asarray(coeffs, dtype=float)))[::-1])
+
+
+def _check_roots(coeffs, error: type[Exception], label: str) -> np.ndarray:
+    """The roots of 1 - a1 z - ... - ap z^p; raise ``error`` unless each lies beyond 1 + 1e-10 in modulus."""
+    roots = _lag_roots(coeffs)
     if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-10:
         raise error(f"{label} polynomial has a root on or inside the unit circle")
+    return roots
 
 
 @dataclass(frozen=True)
@@ -94,14 +97,11 @@ class Arma:
         return len(self.theta)
 
     def validate(self) -> None:
-        _check_roots(self.phi, InvalidSpec, "autoregressive")
-        _check_roots([-t for t in self.theta], InvalidSpec, "moving-average")
-        if self.phi and self.theta:
-            ar_roots = np.roots(np.concatenate(([1.0], -np.asarray(self.phi)))[::-1])
-            ma_roots = np.roots(np.concatenate(([1.0], np.asarray(self.theta)))[::-1])
-            for r in ar_roots:
-                if np.any(np.abs(ma_roots - r) < 1e-8):
-                    raise InvalidSpec("autoregressive and moving-average polynomials share a root")
+        ar_roots = _check_roots(self.phi, InvalidSpec, "autoregressive")
+        ma_roots = _check_roots([-t for t in self.theta], InvalidSpec, "moving-average")
+        for r in ar_roots:
+            if np.any(np.abs(ma_roots - r) < 1e-8):
+                raise InvalidSpec("autoregressive and moving-average polynomials share a root")
 
     def _filter(self, eps: np.ndarray) -> np.ndarray:
         """The ARMA recursion along each row of ``eps``; one call filters each row as a lone one."""

@@ -96,49 +96,38 @@ class _Fitter:
     """One fitter kind: its fitting call, the rows it drops from the front of
     the series, the largest order correction its fits carry, whether it
     accepts a series of n values (the fitter's own length check), and whether
-    its fits carry the conditional variances the Lb family needs. A call made
-    by ``_stacked`` also fits an (R, n) stack at once (see ``_fit_rows``)."""
+    its fits carry the conditional variances the Lb family needs. The fitting
+    call takes an (R, n) stack of series and returns one entry per row: the
+    row's :class:`FitResult` or the :class:`PortmanteauError` that stopped its
+    fit, each what the row gives alone."""
 
-    fit: Callable[[np.ndarray, FitterSpec], FitResult]
+    fit: Callable[[np.ndarray, FitterSpec], list]
     lost_rows: Callable[[FitterSpec], int]
     max_correction: Callable[[FitterSpec], int]
     accepts: Callable[[FitterSpec, int], bool]
     variances: bool = False
 
 
-def _stacked(fit_block: Callable[[np.ndarray, FitterSpec], list]) -> Callable[[np.ndarray, FitterSpec], FitResult]:
-    """The fitting call of one series that is the block of one of ``fit_block``, kept as its ``block``."""
-
-    def fit(z: np.ndarray, spec: FitterSpec) -> FitResult:
-        return _lone(fit_block(np.asarray(z, dtype=float)[None], spec))
-
-    fit.block = fit_block
-    return fit
-
-
-# kind: _Fitter(fit, lost_rows, max_correction, accepts[, variances])
+# kind: _Fitter(block fit of an (R, n) stack, lost_rows, max_correction, accepts[, variances])
 _FITTERS = {
-    "none": _Fitter(
-        _stacked(lambda zs, f: fit_ar_block(zs, 0, intercept=False)), lambda f: 0, lambda f: 0, lambda f, n: True
-    ),
+    "none": _Fitter(lambda zs, f: fit_ar_block(zs, 0, intercept=False), lambda f: 0, lambda f: 0, lambda f, n: True),
     "ar": _Fitter(
-        _stacked(lambda zs, f: fit_ar_block(zs, f.p, intercept=f.intercept)), lambda f: f.p, lambda f: f.p,
+        lambda zs, f: fit_ar_block(zs, f.p, intercept=f.intercept), lambda f: f.p, lambda f: f.p,
         lambda f, n: n > 10 * f.p,
     ),
     "arma": _Fitter(
-        _stacked(lambda zs, f: fit_arma_block(zs, f.p, f.q)), lambda f: f.p, lambda f: f.p + f.q,
+        lambda zs, f: fit_arma_block(zs, f.p, f.q), lambda f: f.p, lambda f: f.p + f.q,
         lambda f, n: n > 10 * max(f.p, f.q, 1),
     ),
     "ar_aic": _Fitter(
-        _stacked(lambda zs, f: select_ar_order_aic_block(zs, f.p_max, intercept=f.intercept)), lambda f: f.p_max,
+        lambda zs, f: select_ar_order_aic_block(zs, f.p_max, intercept=f.intercept), lambda f: f.p_max,
         lambda f: f.p_max, lambda f, n: n > 10 * f.p_max,
     ),
     "garch": _Fitter(
-        _stacked(lambda zs, f: fit_garch_block(zs, f.b, f.a)), lambda f: 0, lambda f: 0,
-        lambda f, n: n > 10 * (f.b + f.a), True,
+        lambda zs, f: fit_garch_block(zs, f.b, f.a), lambda f: 0, lambda f: 0, lambda f, n: n > 10 * (f.b + f.a), True,
     ),
     "ar_garch": _Fitter(
-        _stacked(lambda zs, f: fit_ar_garch_block(zs, f.p, f.b, f.a, intercept=f.intercept)), lambda f: f.p,
+        lambda zs, f: fit_ar_garch_block(zs, f.p, f.b, f.a, intercept=f.intercept), lambda f: f.p,
         lambda f: f.p, lambda f, n: n > 10 * f.p and n - f.p > 10 * (f.b + f.a), True,
     ),
 }
@@ -266,30 +255,18 @@ def _true_fitter_for(spec: ModelSpec) -> FitterSpec:
 
 
 def fit_series(z: np.ndarray, fitter: FitterSpec, generator: ModelSpec | None = None) -> FitResult:
-    """Apply a fitter to one simulated series."""
+    """Apply a fitter to one simulated series: its kind's block call on a block of one."""
     fitter = fitter.resolve(generator)
-    return _FITTERS[fitter.kind].fit(z, fitter)
+    return _lone(_FITTERS[fitter.kind].fit(np.asarray(z, dtype=float)[None], fitter))
 
 
-def _fit_rows(rows: np.ndarray, fitter: FitterSpec):
-    """Yield a resolved fitter's fit of each row of an (R, n) stack of series.
+def _fit_rows(rows: np.ndarray, fitter: FitterSpec) -> list:
+    """A resolved fitter's fit of each row of an (R, n) stack of series: its kind's block call.
 
-    Item r is row r's :class:`FitResult` or the :class:`PortmanteauError`
-    that stopped its fit, each what the row gives alone: a kind whose call
-    has a ``block`` (see ``_stacked``; every row of ``_FITTERS`` has one) fits
-    the stack at once, any other call fits a row as it is asked for.
+    Entry r is row r's :class:`FitResult` or the :class:`PortmanteauError`
+    that stopped its fit, each what the row gives alone.
     """
-    fit_one = _FITTERS[fitter.kind].fit
-    fit_block = getattr(fit_one, "block", None)
-    if fit_block is not None:
-        yield from fit_block(rows, fitter)
-        return
-    for z in rows:
-        try:
-            fit = fit_one(z, fitter)
-        except PortmanteauError as exc:
-            fit = exc
-        yield fit
+    return _FITTERS[fitter.kind].fit(rows, fitter)
 
 
 def _block_rows(exp: Experiment) -> int:

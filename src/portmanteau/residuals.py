@@ -364,6 +364,7 @@ class LagCorrelations:
         runs only when it is read.
         """
         _check_power(i)
+        self._check_lag(m)
         runs = self.shared(("pacf", i), self.max_lag, lambda rho: durbin_levinson_rows(rho[:, i - 1, i - 1, 1:]))
         return pacf_prefix(runs, m)
 

@@ -33,8 +33,10 @@ from portmanteau import (
     weighted_q,
 )
 from portmanteau.diagnostics import null_distribution
-from portmanteau.errors import InvalidOrder, InvalidSpec, LagTooLarge, NonPositiveDf, NonStationary, NonInvertible
-from portmanteau.residuals import CorrSequence
+from portmanteau.errors import (
+    InvalidOrder, InvalidSpec, LagOutOfRange, LagTooLarge, NonPositiveDf, NonStationary, NonInvertible,
+)
+from portmanteau.residuals import CorrSequence, LagCorrelations
 
 
 def _corr(kind, values):
@@ -447,3 +449,11 @@ class TestLagOrderRule:
         for test in (weighted_q, monti, weighted_m):
             with pytest.raises(LagTooLarge):
                 test(series, 30)
+
+    @pytest.mark.parametrize("name", [n for n in ALL_STATISTICS if n not in ("Lb", "Lbw")])
+    def test_every_row_rejects_m_beyond_the_kernels_largest_lag(self, name):
+        series = make_residual_series(np.random.default_rng(5).standard_normal(60))
+        kernel = LagCorrelations(series, 5)
+        evaluate_statistics([name], series, 5, correlations=kernel)
+        with pytest.raises(LagOutOfRange):
+            evaluate_statistics([name], series, 10, correlations=kernel)

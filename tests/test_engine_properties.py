@@ -88,10 +88,10 @@ def test_block_with_failing_fits_matches_replicates_one_by_one(monkeypatch):
     exp = EXPERIMENTS["ar_aic"]
     fitter = montecarlo._FITTERS["ar_aic"]
 
-    def fit_unless_first_value_negative(z, spec):
-        if z[0] < 0.0:
-            raise SingularDesign("first value negative")
-        return fitter.fit(z, spec)
+    def fit_unless_first_value_negative(rows, spec):
+        return [
+            SingularDesign("first value negative") if z[0] < 0.0 else fit for z, fit in zip(rows, fitter.fit(rows, spec))
+        ]
 
     monkeypatch.setitem(montecarlo._FITTERS, "ar_aic", replace(fitter, fit=fit_unless_first_value_negative))
     whole = _run_replicates(exp, 0, REPLICATIONS)

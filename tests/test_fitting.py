@@ -21,7 +21,7 @@ from portmanteau import (
     simulate,
 )
 from portmanteau.errors import InvalidSpec, NonFinite, SingularDesign
-from portmanteau.fitting import _log_normaliser, _reflect_ma_roots, _unpack_garch
+from portmanteau.fitting import _MAX_ITER, _log_normaliser, _reflect_ma_roots, _unpack_garch
 
 
 class TestFitAr:
@@ -132,6 +132,13 @@ class TestFitArmaCss:
         fit = fit_arma_css(z, 1, 1)
         assert abs(fit.params["phi"][0] - 0.6) < 0.05
         assert abs(fit.params["theta"][0] - 0.3) < 0.05
+
+    def test_a_crawling_fit_stops_at_the_iteration_cap(self):
+        z = simulate(ModelSpec(model=Arma(theta=(-0.95,)), burn_in=200), 60, 4)
+        fit = fit_arma_css(z, 0, 1)
+        assert fit.iterations == _MAX_ITER
+        assert not fit.converged
+        assert set(fit.flags) == {"non_convergence", "reflected_ma_roots"}
 
     def test_reflection_helper(self):
         theta, reflected = _reflect_ma_roots(np.array([2.0]))
