@@ -30,6 +30,14 @@ BLOCKS:
   kernels of the fits (``montecarlo._lag_kernels``) and every fit's reports
   (``montecarlo.evaluate_fit``); ``us_per_series`` is its time divided by R.
   A block of one is the lone path of ``portmanteau test``.
+- ``startup``: for each workload of ``WORKLOADS`` (bench/run.py's three), a
+  fresh interpreter on the tree's ``src`` runs one command: ``setup`` is the
+  benchmark's import-and-validate of the workload's config, ``mc`` is
+  ``portmanteau mc`` on one worker for one call of the benchmark's size, and
+  ``test`` is ``portmanteau test --fit ar:1`` on a CSV of one path of the
+  workload's model at its largest n. ``s`` is the interpreter's own time from
+  before the import to the command's end, and ``peak_rss_mb`` its peak
+  resident memory.
 
 Each time is the best of the layer's ``repeat`` calls. Each ``--tree
 LABEL=SRC`` loads the package found in SRC under its own module name, so
@@ -60,7 +68,9 @@ import json
 import platform
 import subprocess
 import sys
+import tempfile
 import time
+from datetime import date, timedelta
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -98,6 +108,35 @@ MODELS = {
 DESIGNS = {
     "ar_null": ("ar1", ("Cm",), (10,)),
     "battery": ("tar", (), (10, 30)),
+}
+# Workload name, as in bench/run.py: (model of MODELS, fitter, n list, m list, statistics, replicates per mc
+# call); no statistics means the battery's 18.
+WORKLOADS = {
+    "ar_null": ("ar1", {"kind": "ar", "p": 1, "intercept": False}, [500], [10], ["Cm"], 300),
+    "battery": ("tar", {"kind": "ar", "p": 1, "intercept": False}, [100, 500], [10, 30], [], 24),
+    "ar_arch": (
+        "ar_arch", {"kind": "ar_garch", "p": 1, "b": 1, "a": 0, "intercept": False}, [200], [6], ["Cm", "Lb"], 8
+    ),
+}
+# A fresh interpreter's start-up run: the command's code, timed from before the package's import.
+# Peak memory is the interpreter's own VmHWM (Linux): getrusage's maxrss would include the forking parent's.
+STARTUP_CODE = """\
+import json, sys, time
+t0 = time.perf_counter()
+{}
+seconds = time.perf_counter() - t0
+with open("/proc/self/status") as status:
+    print(seconds, next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)
+sys.exit(code)
+"""
+_CLI = "from portmanteau.cli import main\ncode = main(sys.argv[1:])"
+COMMANDS = {
+    "setup": (
+        "import portmanteau\nfrom portmanteau.montecarlo import experiment_from_dict\n"
+        "experiment_from_dict(json.loads(sys.argv[1]))\ncode = 0"
+    ),
+    "mc": _CLI,
+    "test": _CLI,
 }
 
 
@@ -173,6 +212,41 @@ def _statistics_cell(pkg, design: str, n: int, block: int):
     return [call], lambda best: {"us_per_series": round(1e6 * best[0] / block, 2)}
 
 
+def _startup_cell(pkg, command: str, workload: str):
+    model, fitter, n_list, m_list, names, replicates = WORKLOADS[workload]
+    names = names or [name for name in pkg.ALL_STATISTICS if name not in ("Lb", "Lbw")]
+    spec = pkg.ModelSpec(model=MODELS[model](pkg))
+    config = {
+        "schema": 1, "generator": pkg.spec_to_dict(spec), "fitter": fitter, "n": n_list, "m": m_list,
+        "levels": [0.01, 0.05, 0.1], "replications": replicates, "statistics": names, "master_seed": 4242,
+    }
+    path = pkg.simulate(spec, max(n_list), 4242)
+    rows = [f"{date(2000, 1, 1) + timedelta(k)},{value!r}\n" for k, value in enumerate(path.tolist())]
+    csv_text = "date,return\n" + "".join(rows)
+    env = dict(os.environ, PYTHONPATH=str(Path(pkg.__file__).resolve().parent.parent))
+    runs = []
+
+    def call():
+        with tempfile.TemporaryDirectory() as tmp:
+            args = {
+                "setup": [json.dumps(config)],
+                "mc": ["mc", "--config", json.dumps(config), "--workers", "1", "--out", f"{tmp}/mc"],
+                "test": ["test", f"{tmp}/returns.csv", "--fit", "ar:1", "--lags", ",".join(map(str, m_list))],
+            }[command]
+            Path(tmp, "returns.csv").write_text(csv_text, encoding="utf-8")
+            code = STARTUP_CODE.format(COMMANDS[command])
+            out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+        if out.returncode:
+            raise RuntimeError(f"{command} on {workload} exited with {out.returncode}: {out.stderr.strip()}")
+        runs.append([float(value) for value in out.stdout.split()[-2:]])
+
+    def fields(best: list) -> dict:
+        seconds, rss = zip(*runs)
+        return {"s": round(min(seconds), 3), "peak_rss_mb": round(max(rss), 1)}
+
+    return [call], fields
+
+
 class Layer(NamedTuple):
     name: str  # the output's ``layer``
     axes: Callable  # () -> {key: values}: the cells are their product, in this order
@@ -226,6 +300,16 @@ LAYERS = {
         25,
         "us_per_series: AR(1) fits, lag kernels and reports of a block of paths divided by the block size; "
         "paths simulated outside the timing, seeds 1000..; default burn-in",
+    ),
+    "startup": Layer(
+        "startup",
+        lambda: {"command": COMMANDS, "workload": WORKLOADS},
+        _startup_cell,
+        {"ratio": "s", "rss_ratio": "peak_rss_mb"},
+        9,
+        "s: the best of a fresh interpreter's own times from before the package's import to the command's end "
+        "(not the best call's wall); peak_rss_mb: the largest peak resident memory of those interpreters; "
+        "mc on one worker, master seed 4242; the test CSV is seed 4242 of the workload's model",
     ),
 }
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidSpec, NonFinite, PortmanteauError, SingularDesign
-from .models import _lag_roots
+from .models import _lag_roots, signal
 from .residuals import ResidualSeries, _lone, residual_series_block
 
 _LOG2PI = float(np.log(2.0 * np.pi))
@@ -319,11 +318,11 @@ def _css_score(x: np.ndarray, z: np.ndarray, p: int, q: int):
     if q:
         den = np.concatenate((np.ones((count, 1)), theta), axis=1)
         for r in range(count):
-            eps[r] = lfilter(_ONE, den[r], eps[r])
+            eps[r] = signal.lfilter(_ONE, den[r], eps[r])
         for i in range(1, q + 1):
             drive[:, p + i, i:] = -eps[:, : n - p - i]
         for r in range(count):
-            drive[r] = lfilter(_ONE, den[r], drive[r], axis=1)
+            drive[r] = signal.lfilter(_ONE, den[r], drive[r], axis=1)
     css = np.add.reduce(eps * eps, axis=1)
     grad = 2.0 * np.add.reduce(drive * eps[:, None, :], axis=2)
     bad = ~(np.isfinite(css) & np.isfinite(grad).all(axis=1))
@@ -451,7 +450,7 @@ def _garch_variances(padded: np.ndarray, omega, alpha: np.ndarray, beta: np.ndar
     den = _denominators(beta) if den is None else den
     rows, den, zi = c.reshape(-1, n), den.reshape(-1, a + 1), zi.reshape(-1, a)
     for r in range(len(rows)):
-        rows[r] = lfilter(_ONE, den[r], rows[r], zi=zi[r])[0]
+        rows[r] = signal.lfilter(_ONE, den[r], rows[r], zi=zi[r])[0]
     return c
 
 
@@ -526,7 +525,7 @@ def _garch_nll_score(x: np.ndarray, padded: np.ndarray, eps2: np.ndarray, v0, b:
         rows, w_rows, score_rows = g.reshape(-1, 1 + b + a, n), w.reshape(-1, n), score.reshape(-1, 1 + b + a)
         den = den.reshape(-1, a + 1)
         for r in range(len(rows)):
-            score_rows[r] = np.add.reduce(lfilter(_ONE, den[r], rows[r], axis=1) * w_rows[r], axis=1)
+            score_rows[r] = np.add.reduce(signal.lfilter(_ONE, den[r], rows[r], axis=1) * w_rows[r], axis=1)
     else:
         # Without a beta, D_t is g_t itself.
         score[..., 0] = np.add.reduce(w, axis=-1)

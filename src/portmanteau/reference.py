@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_discrete_lyapunov
-from scipy.signal import lfilter
 
 from .corrmat import _as_array, logdet_pd
 from .errors import LagOutOfRange, NonInvertible, NonStationary, NotPositiveDefinite
-from .models import _check_roots
+from .models import _check_roots, signal
 from .residuals import (
     CorrSequence,
     ResidualSeries,
@@ -205,7 +204,7 @@ def _inverse_poly_coeffs(ar_style: np.ndarray, nterms: int) -> np.ndarray:
     """Coefficients c of 1/(1 - a1 B - ... - ap B^p) up to B^(nterms-1)."""
     impulse = np.zeros(nterms)
     impulse[0] = 1.0
-    return lfilter([1.0], np.concatenate(([1.0], -ar_style)), impulse)
+    return signal.lfilter([1.0], np.concatenate(([1.0], -ar_style)), impulse)
 
 
 def _exact_gram(ar_style: np.ndarray) -> np.ndarray:

@@ -19,12 +19,13 @@ CELLS = {
     "garch_qmle": (["order", "n", "ms_per_fit", "iterations", "loglik_mean", "block_ms_per_row"], 1),
     "arma_css": (["order", "n", "ms_per_fit", "iterations", "loglik_mean", "block_ms_per_row"], 1),
     "statistics": (["design", "n", "block", "us_per_series"], 2 * 2),
+    "startup": (["command", "workload", "s", "peak_rss_mb"], 3 * 1),
 }
 
 
 @pytest.fixture
 def bench_layer(monkeypatch):
-    """The script on one n, blocks of 1 and 2, one GARCH and one ARMA order and one call per timing."""
+    """The script on one n, blocks of 1 and 2, one GARCH and one ARMA order, one workload and one call per timing."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)  # restored after the test; loading the script sets them
     spec = importlib.util.spec_from_file_location("bench_layer", SCRIPT)
@@ -34,6 +35,7 @@ def bench_layer(monkeypatch):
     monkeypatch.setattr(module, "BLOCKS", (1, 2))
     monkeypatch.setattr(module, "GARCH_MODELS", {(1, 0): module.GARCH_MODELS[1, 0]})
     monkeypatch.setattr(module, "ARMA_MODELS", {(1, 1): module.ARMA_MODELS[1, 1]})
+    monkeypatch.setattr(module, "WORKLOADS", {"battery": module.WORKLOADS["battery"]})
     for name, layer in module.LAYERS.items():
         monkeypatch.setitem(module.LAYERS, name, layer._replace(repeat=1))
     return module
