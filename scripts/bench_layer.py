@@ -30,14 +30,15 @@ BLOCKS:
   kernels of the fits (``montecarlo._lag_kernels``) and every fit's reports
   (``montecarlo.evaluate_fit``); ``us_per_series`` is its time divided by R.
   A block of one is the lone path of ``portmanteau test``.
-- ``startup``: for each workload of ``WORKLOADS`` (bench/run.py's three), a
-  fresh interpreter on the tree's ``src`` runs one command: ``setup`` is the
+- ``startup``: for each workload of ``WORKLOADS`` (bench/run.py's three, their
+  configs and replicates per call read from its own ``WORKLOADS``), a fresh
+  interpreter on the tree's ``src`` runs one command: ``setup`` is the
   benchmark's import-and-validate of the workload's config, ``mc`` is
   ``portmanteau mc`` on one worker for one call of the benchmark's size, and
-  ``test`` is ``portmanteau test --fit ar:1`` on a CSV of one path of the
-  workload's model at its largest n. ``s`` is the interpreter's own time from
-  before the import to the command's end, and ``peak_rss_mb`` its peak
-  resident memory.
+  ``test`` is ``portmanteau test --fit ar:1`` at the workload's lag orders on
+  a CSV of one path of the workload's model at its largest n. ``s`` is the
+  interpreter's own time from before the import to the command's end, and
+  ``peak_rss_mb`` its peak resident memory.
 
 Each time is the best of the layer's ``repeat`` calls. Each ``--tree
 LABEL=SRC`` loads the package found in SRC under its own module name, so
@@ -109,15 +110,22 @@ DESIGNS = {
     "ar_null": ("ar1", ("Cm",), (10,)),
     "battery": ("tar", (), (10, 30)),
 }
-# Workload name, as in bench/run.py: (model of MODELS, fitter, n list, m list, statistics, replicates per mc
-# call); no statistics means the battery's 18.
-WORKLOADS = {
-    "ar_null": ("ar1", {"kind": "ar", "p": 1, "intercept": False}, [500], [10], ["Cm"], 300),
-    "battery": ("tar", {"kind": "ar", "p": 1, "intercept": False}, [100, 500], [10, 30], [], 24),
-    "ar_arch": (
-        "ar_arch", {"kind": "ar_garch", "p": 1, "b": 1, "a": 0, "intercept": False}, [200], [6], ["Cm", "Lb"], 8
-    ),
-}
+
+
+def _module(name: str, path: Path, **spec_options):
+    """The Python file ``path`` imported as the module ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path, **spec_options)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# bench/run.py, imported only to read its workloads; it imports bench/replay.py as ``replay``.
+sys.path.insert(0, str(ROOT / "bench"))
+_BENCH = _module("_bench_run", ROOT / "bench" / "run.py")
+# Workload name: the mc config of one call of the benchmark's timed loop, at master seed 4242.
+WORKLOADS = {name: _BENCH.experiment_config(w, w.batch, 4242) for name, w in _BENCH.WORKLOADS.items()}
 # A fresh interpreter's start-up run: the command's code, timed from before the package's import.
 # Peak memory is the interpreter's own VmHWM (Linux): getrusage's maxrss would include the forking parent's.
 STARTUP_CODE = """\
@@ -213,14 +221,8 @@ def _statistics_cell(pkg, design: str, n: int, block: int):
 
 
 def _startup_cell(pkg, command: str, workload: str):
-    model, fitter, n_list, m_list, names, replicates = WORKLOADS[workload]
-    names = names or [name for name in pkg.ALL_STATISTICS if name not in ("Lb", "Lbw")]
-    spec = pkg.ModelSpec(model=MODELS[model](pkg))
-    config = {
-        "schema": 1, "generator": pkg.spec_to_dict(spec), "fitter": fitter, "n": n_list, "m": m_list,
-        "levels": [0.01, 0.05, 0.1], "replications": replicates, "statistics": names, "master_seed": 4242,
-    }
-    path = pkg.simulate(spec, max(n_list), 4242)
+    config = WORKLOADS[workload]
+    path = pkg.simulate(pkg.spec_from_dict(config["generator"]), max(config["n"]), config["master_seed"])
     rows = [f"{date(2000, 1, 1) + timedelta(k)},{value!r}\n" for k, value in enumerate(path.tolist())]
     csv_text = "date,return\n" + "".join(rows)
     env = dict(os.environ, PYTHONPATH=str(Path(pkg.__file__).resolve().parent.parent))
@@ -231,7 +233,7 @@ def _startup_cell(pkg, command: str, workload: str):
             args = {
                 "setup": [json.dumps(config)],
                 "mc": ["mc", "--config", json.dumps(config), "--workers", "1", "--out", f"{tmp}/mc"],
-                "test": ["test", f"{tmp}/returns.csv", "--fit", "ar:1", "--lags", ",".join(map(str, m_list))],
+                "test": ["test", f"{tmp}/returns.csv", "--fit", "ar:1", "--lags", ",".join(map(str, config["m"]))],
             }[command]
             Path(tmp, "returns.csv").write_text(csv_text, encoding="utf-8")
             code = STARTUP_CODE.format(COMMANDS[command])
@@ -320,11 +322,7 @@ def _load(label: str, src: Path):
     for stale in [key for key in sys.modules if key.partition(".")[0] == name]:
         del sys.modules[stale]  # an earlier load's submodules would not bind to the new package
     package = src / "portmanteau"
-    spec = importlib.util.spec_from_file_location(name, package / "__init__.py", submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+    return _module(name, package / "__init__.py", submodule_search_locations=[str(package)])
 
 
 def _tree(text: str) -> tuple:

@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from .diagnostics import VARIANCE_STATISTICS
 from .errors import ConfigError, CsvFormatError, InvalidSpec, NonFinite, PortmanteauError
 from .fitting import FitResult
 from .models import simulate, spec_from_dict
@@ -223,7 +224,7 @@ def _cmd_test(args) -> int:
     elif _FITTERS[fitter.kind].variances:
         names = list(DEFAULT_TEST_STATS)
     else:
-        names = [n for n in DEFAULT_TEST_STATS if n not in ("Lb", "Lbw")]
+        names = [n for n in DEFAULT_TEST_STATS if n not in VARIANCE_STATISTICS]
     check_statistics(fitter, names, lags, (len(z),))
     try:
         fit = fit_series(z, fitter)

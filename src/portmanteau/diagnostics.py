@@ -7,11 +7,12 @@ cross-correlation at once; its null is approximated by a gamma distribution
 with mean 2m+5-(p+q). The remaining statistics are the classical references it
 is compared against: quadratic-form tests on one correlation kind (Q families),
 determinant tests on one Toeplitz matrix (D families), partial-autocorrelation
-tests (M families) and the fitted-variance tests (Lb family).
+tests (M families) and the Li-Mak fitted-variance tests, the pair
+``VARIANCE_STATISTICS`` (Lb and its weighted form Lbw), which read the
+standardized squared residuals e_t^2/s_t^2 of a fit's conditional variances.
 
-Every statistic but the Lb family is one row of ``_TABLE``, and one evaluator
-turns a row and a lag kernel into a :class:`TestReport`; a new correlation
-statistic is one more row. The columns are:
+Every statistic but the Li-Mak pair is one row of ``_TABLE``; a new
+correlation statistic is one more row. The columns are:
 
 - ``source``: ``rho`` (rho_ij(k), k = 1..m), ``pacf`` (the partial
   autocorrelations of rho_ii), ``toeplitz`` (log|R_ij(m)|) or ``block``
@@ -26,9 +27,12 @@ statistic is one more row. The columns are:
   matching triangular weights over m (``tri_m``) or m+1 (``tri_m+1``), or the
   closed-form Cm gamma (``cm``).
 
-A sample whose Toeplitz or block matrix is not positive definite gives a
-degenerate report. Each public statistic function evaluates its row on a
-residual series or on its lag kernel
+Every :class:`TestReport`, Li-Mak's included, comes from one evaluator,
+``_evaluate``: it reads a statistic's input, applies its form and takes the
+p-value from its null. An input whose Toeplitz or block matrix is not positive
+definite, or whose standardized squared residuals are constant, gives the
+degenerate report instead. Each public statistic function evaluates its row
+on a residual series or on its lag kernel
 (:class:`~portmanteau.residuals.LagCorrelations`) at any largest lag >= m;
 ``evaluate_statistics`` hands one kernel to all of them.
 
@@ -93,7 +97,8 @@ _TABLE = {
     "Mw22": _Row("pacf", 2, 2, "lbw", "tri_m"),
 }
 
-ALL_STATISTICS = (*_TABLE, "Lb", "Lbw")
+VARIANCE_STATISTICS = ("Lb", "Lbw")
+ALL_STATISTICS = (*_TABLE, *VARIANCE_STATISTICS)
 
 
 @dataclass(frozen=True)
@@ -136,29 +141,6 @@ def _pvalue(stat: float, dist: tuple) -> float:
     if x == math.inf:
         return 0.0
     return float(chdtrc(dist[1], x) if dist[0] == "chi2" else gammaincc(dist[1], x))
-
-
-def _report(name: str, stat: float, m: int, correction: int, dist: tuple) -> TestReport:
-    return TestReport(
-        name=name,
-        statistic=float(stat),
-        m=m,
-        order_correction=correction,
-        dist=dist,
-        p_value=_pvalue(float(stat), dist),
-    )
-
-
-def _degenerate(name: str, m: int, correction: int, dist: tuple) -> TestReport:
-    return TestReport(
-        name=name,
-        statistic=float("nan"),
-        m=m,
-        order_correction=correction,
-        dist=dist,
-        p_value=0.0,
-        degenerate=True,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +222,7 @@ def null_distribution(
     when the correction leaves no null at this m, on every call: the result
     is memoized, a raised error is not.
     """
-    if name in ("Lb", "Lbw"):
+    if name in VARIANCE_STATISTICS:
         correction = garch_orders[0] + garch_orders[1]
         return correction, _chi2_dist(m, correction)
     row = _TABLE[name]
@@ -263,16 +245,9 @@ def _bp(x: np.ndarray, n: int, m: int) -> float:
     return n * float(x @ x)
 
 
-def _lb(x: np.ndarray, n: int, m: int) -> float:
-    """n(n+2) sum (n-k)^-1 x_k^2."""
+def _weighted_lb(x: np.ndarray, n: int, m: int, w=1.0) -> float:
+    """n(n+2) sum w_k (n-k)^-1 x_k^2; w = 1.0 is Ljung-Box, and 1.0 * x is x bit for bit."""
     k = np.arange(1, m + 1)
-    return n * (n + 2.0) * float(np.sum(x * x / (n - k)))
-
-
-def _lbw(x: np.ndarray, n: int, m: int) -> float:
-    """n(n+2) sum w_k (n-k)^-1 x_k^2 with triangular weights w_k = (m-k+1)/m."""
-    k = np.arange(1, m + 1)
-    w = (m - k + 1.0) / m
     return n * (n + 2.0) * float(np.sum(w * x * x / (n - k)))
 
 
@@ -286,7 +261,12 @@ def _logdet(logdet: float, n: int, m: int) -> float:
     return -(n / (m + 1.0)) * logdet
 
 
-_FORMS = {"bp": _bp, "lb": _lb, "lbw": _lbw, "det": _det, "logdet": _logdet}
+def _lbw(x: np.ndarray, n: int, m: int) -> float:
+    """The Ljung-Box sum with triangular weights w_k = (m-k+1)/m."""
+    return _weighted_lb(x, n, m, (m - np.arange(1, m + 1) + 1.0) / m)
+
+
+_FORMS = {"bp": _bp, "lb": _weighted_lb, "lbw": _lbw, "det": _det, "logdet": _logdet}
 
 
 def _read(row: _Row, corr: LagCorrelations, m: int):
@@ -300,17 +280,19 @@ def _read(row: _Row, corr: LagCorrelations, m: int):
     return block_logdet(corr, m)
 
 
-def _evaluate(name: str, form: str, read, n: int, m: int, null: tuple[int, tuple]) -> TestReport:
-    """Statistic ``name`` on the input ``read()`` returns, degenerate if its matrix is not positive definite.
+def _evaluate(name: str, form, read, n: int, m: int, null: tuple[int, tuple]) -> TestReport:
+    """Statistic ``name``, ``form(read(), n, m)``, with its p-value: the one maker of a :class:`TestReport`.
 
-    ``null`` is the statistic's ``null_distribution``, computed before the input is read.
+    ``null`` is the statistic's ``null_distribution``, computed before the input is read. An
+    input whose matrix is not positive definite, or whose variance is zero, gives the
+    degenerate report: a NaN statistic with p-value 0.
     """
     correction, dist = null
     try:
-        x = read()
-    except (SingularToeplitz, NotPositiveDefinite):
-        return _degenerate(name, m, correction, dist)
-    return _report(name, _FORMS[form](x, n, m), m, correction, dist)
+        stat = float(form(read(), n, m))
+    except (SingularToeplitz, NotPositiveDefinite, DegenerateVariance):
+        return TestReport(name, math.nan, m, correction, dist, p_value=0.0, degenerate=True)
+    return TestReport(name, stat, m, correction, dist, _pvalue(stat, dist))
 
 
 def _table_test(
@@ -324,10 +306,10 @@ def _table_test(
     _check_order(series.n, m)
     corr = lag_correlations(series, m)
     null = null_distribution(name, m, order_correction)
-    return _evaluate(name, row.form, lambda: _read(row, corr, m), corr.n, m, null)
+    return _evaluate(name, _FORMS[row.form], lambda: _read(row, corr, m), corr.n, m, null)
 
 
-def _sequence_test(name: str, form: str, acf: CorrSequence, n: int, m: int | None, order_correction: int) -> TestReport:
+def _sequence_test(name: str, form, acf: CorrSequence, n: int, m: int | None, order_correction: int) -> TestReport:
     """A chi-square quadratic form on the first m values of a correlation sequence.
 
     Every such form has the null of its kind's Ljung-Box row (Q11, Q22, Q12 or Q21).
@@ -355,13 +337,13 @@ def ljung_box(acf: CorrSequence, n: int, m: int | None = None, order_correction:
     the cross-correlation variants, whose null does not depend on the fitted
     ARMA order.
     """
-    return _sequence_test("Q" + acf.kind[3:], "lb", acf, n, m, order_correction)
+    return _sequence_test("Q" + acf.kind[3:], _weighted_lb, acf, n, m, order_correction)
 
 
 def box_pierce(acf: CorrSequence, n: int, m: int | None = None, order_correction: int = 0) -> TestReport:
     """n sum rho^2(k): the unweighted quadratic form (and its cross variants)."""
     name = "Q_BP" if acf.kind == "rho11" else "Qt" + acf.kind[3:]
-    return _sequence_test(name, "bp", acf, n, m, order_correction)
+    return _sequence_test(name, _bp, acf, n, m, order_correction)
 
 
 def weighted_q(
@@ -431,20 +413,11 @@ def li_mak(eps, sigma2, m: int, b: int, a: int, weighted: bool = False) -> TestR
     triangularly weighted variants share the chi-square null with m-(b+a)
     degrees of freedom.
     """
-    n = len(eps)
     name = "Lbw" if weighted else "Lb"
-    correction, dist = null_distribution(name, m, garch_orders=(b, a))
-    try:
-        rho = garch_standardized_sq_acfs(eps, sigma2, m)
-    except DegenerateVariance:
-        return _degenerate(name, m, correction, dist)
-    if weighted:
-        k = np.arange(1, m + 1)
-        wts = (m - k + (b + 1.0)) / m
-        stat = n * float(wts @ (rho * rho))
-    else:
-        stat = _bp(rho, n, m)
-    return _report(name, stat, m, correction, dist)
+    null = null_distribution(name, m, garch_orders=(b, a))
+    wts = (m - np.arange(1, m + 1) + (b + 1.0)) / m
+    form = (lambda x, n, m: n * float(wts @ (x * x))) if weighted else _bp
+    return _evaluate(name, form, lambda: garch_standardized_sq_acfs(eps, sigma2, m), len(eps), m, null)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +460,7 @@ def evaluate_statistics(
     for name in names:
         if name in _TABLE:
             reports[name] = _table_test(name, corr, m, order_correction)
-        elif name in ("Lb", "Lbw"):
+        elif name in VARIANCE_STATISTICS:
             if garch_eps is None or garch_sigma2 is None:
                 raise InvalidSpec(f"{name} requires fitted conditional variances")
             b, a = garch_orders

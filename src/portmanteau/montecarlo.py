@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .corrmat import _check_order
-from .diagnostics import ALL_STATISTICS, TestReport, evaluate_statistics, null_distribution
+from .diagnostics import ALL_STATISTICS, VARIANCE_STATISTICS, TestReport, evaluate_statistics, null_distribution
 from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, LagTooLarge, NonPositiveDf, PortmanteauError
 from .fitting import (
     FitResult, fit_ar_block, fit_ar_garch_block, fit_arma_block, fit_garch_block, select_ar_order_aic_block,
@@ -155,6 +155,9 @@ class Experiment:
             raise InvalidSpec("need at least one replication")
         if not self.n_list or not self.levels:
             raise InvalidSpec("n_list and levels must be non-empty")
+        for what, values in (("n_list", self.n_list), ("levels", self.levels)):
+            if len(set(values)) < len(values):
+                raise InvalidSpec(f"{what} repeats a value: {list(values)}")
         if min(self.n_list) < _MIN_LENGTH:
             raise InvalidSpec(f"every n must be at least {_MIN_LENGTH}, got {min(self.n_list)}")
         for level in self.levels:
@@ -185,6 +188,8 @@ class McTable:
         return self.cells[(statistic, int(n), int(m), float(level))]
 
     def standard_error(self, statistic: str, n: int, m: int, level: float) -> float:
+        if self.replications < 1:
+            raise EmptySample("no replication count to divide by: a table read from CSV holds only frequencies")
         f = self.frequency(statistic, n, m, level)
         return float(np.sqrt(f * (1.0 - f) / self.replications))
 
@@ -282,15 +287,19 @@ def check_statistics(fitter: FitterSpec, statistics, m_list, n_list) -> None:
     needs a null distribution at every m under the largest order correction
     the fitter's fits can carry, the worst case of every null. A fitter that
     rejects every n is exempt from the null check: all its fits fail, and
-    none is tested.
+    none is tested. Neither list may repeat a value, as the table keeps one
+    cell per value.
     """
     if not statistics or not m_list:
         raise InvalidSpec("the statistics and the lag orders m must be non-empty")
+    for what, values in (("statistics", statistics), ("lag orders m", m_list)):
+        if len(set(values)) < len(values):
+            raise InvalidSpec(f"the {what} repeat a value: {list(values)}")
     kind = _FITTERS[fitter.kind]
     for name in statistics:
         if name not in ALL_STATISTICS:
             raise InvalidSpec(f"unknown statistic {name!r}; choose from {', '.join(ALL_STATISTICS)}")
-        if name in ("Lb", "Lbw") and not kind.variances:
+        if name in VARIANCE_STATISTICS and not kind.variances:
             raise InvalidSpec(f"{name} requires a fit with conditional variances (garch or ar_garch)")
     n_resid = min(n_list) - kind.lost_rows(fitter)
     for m in m_list:

@@ -72,9 +72,8 @@ class ResidualSeries:
 class CorrSequence:
     """Sample correlations of one kind over lags 1..m.
 
-    kind is one of "rho11", "rho22", "rho12", "rho21", "rho22star"; the first
-    index is the power of the leading residual, the second the power of the
-    lagged one.
+    kind is one of "rho11", "rho22", "rho12" and "rho21"; the first index is
+    the power of the leading residual, the second the power of the lagged one.
     """
 
     kind: str

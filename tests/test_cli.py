@@ -253,6 +253,15 @@ class TestTestCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("args", [["--lags", "5,5"], ["--lags", "5", "--stats", "Cm,Q22,Cm"]])
+    def test_repeated_lag_or_statistic_exit_2(self, args, tmp_path, capsys):
+        # each row would be printed twice
+        data = self._simulate_to(tmp_path, capsys)
+        code, out, err = _run(["test", data, "--fit", "ar:1", *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "repeat a value" in err
+
     def test_li_mak_without_variance_fit_rejected(self, tmp_path, capsys):
         data = self._simulate_to(tmp_path, capsys)
         code, _, _ = _run(["test", data, "--fit", "ar:1", "--stats", "Lb", "--lags", "5"], capsys)

@@ -324,6 +324,29 @@ class TestLiMak:
         with pytest.raises(NonPositiveDf):
             li_mak(e, s2, 2, 1, 1)
 
+    # With s^2 = e^2 the ratio e^2/s^2 is constant, so its autocorrelations are undefined.
+    E_CONSTANT_RATIO = np.array([0.5, -1.0, 2.0, -0.7, 1.5, -0.3, 0.9, -1.2])
+
+    @staticmethod
+    def _assert_degenerate(rep, name):
+        assert rep.name == name
+        assert rep.degenerate and rep.p_value == 0.0 and np.isnan(rep.statistic)
+        assert (rep.m, rep.order_correction, rep.dist) == (3, 1, ("chi2", 2))
+
+    @pytest.mark.parametrize("name", ["Lb", "Lbw"])
+    def test_constant_ratio_is_degenerate(self, name):
+        e = self.E_CONSTANT_RATIO
+        self._assert_degenerate(li_mak(e, e * e, 3, 1, 0, weighted=(name == "Lbw")), name)
+
+    @pytest.mark.parametrize("name", ["Lb", "Lbw"])
+    def test_constant_ratio_is_degenerate_in_a_battery(self, name):
+        e = self.E_CONSTANT_RATIO
+        reports = evaluate_statistics(
+            ["Q11", name], make_residual_series(e), 3, garch_eps=e, garch_sigma2=e * e, garch_orders=(1, 0)
+        )
+        self._assert_degenerate(reports[name], name)
+        assert not reports["Q11"].degenerate
+
 
 class TestQmMatrix:
     def test_ar1_expansion_column(self):

@@ -5,6 +5,11 @@ it or any name it defines, so the oracles cannot drift back into the
 simulate -> fit -> correlate -> statistic -> p-value path. The package keeps
 the old submodule paths of two oracles that tests import directly, and those
 must resolve to the reference objects.
+
+Two guards keep the statistic battery to one implementation: every
+``TestReport`` is built in ``diagnostics._evaluate``, and the Li-Mak pair
+("Lb", "Lbw") is written once, as ``diagnostics.VARIANCE_STATISTICS``, which
+every other use reads.
 """
 
 import ast
@@ -101,3 +106,38 @@ def test_package_imports_are_acyclic():
 
     for module in sorted(modules):
         visit(module)
+
+
+def _calls_by_function(tree: ast.Module, callee: str) -> list[str]:
+    """The top-level function or class (or "<module>") around every call of the bare name ``callee``."""
+    out = []
+    for node in tree.body:
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        out += [
+            where for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == callee
+        ]
+    return out
+
+
+def test_every_test_report_comes_from_one_evaluator():
+    makers = {
+        f"{path.stem}.{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")), "TestReport")
+    }
+    assert makers == {"diagnostics._evaluate"}
+
+
+def test_the_variance_statistics_are_spelled_once():
+    spellings = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+        and len(node.elts) == 2
+        and {getattr(elt, "value", None) for elt in node.elts} == {"Lb", "Lbw"}
+    ]
+    assert len(spellings) == 1, spellings
+    assert diagnostics.VARIANCE_STATISTICS == ("Lb", "Lbw")
+    assert diagnostics.ALL_STATISTICS[-2:] == diagnostics.VARIANCE_STATISTICS

@@ -217,6 +217,27 @@ class TestValidation:
         with pytest.raises(InvalidSpec):
             _small_experiment(fitter=FitterSpec(kind="ols")).validate()
 
+    # A table keeps one cell per (statistic, n, m, level), so a repeated value
+    # would be computed again and then dropped: each list is checked up front.
+    def _rejects_repeat(self, match, **overrides):
+        exp = _small_experiment(replications=2, **overrides)
+        with pytest.raises(InvalidSpec, match=match):
+            exp.validate()
+        with pytest.raises(InvalidSpec, match=match):
+            run_experiment(exp, workers=1)
+
+    def test_repeated_statistic(self):
+        self._rejects_repeat(r"statistics repeat a value: \['Cm', 'Q11', 'Cm'\]", statistics=("Cm", "Q11", "Cm"))
+
+    def test_repeated_m(self):
+        self._rejects_repeat(r"lag orders m repeat a value: \[4, 4\]", m_list=(4, 4))
+
+    def test_repeated_n(self):
+        self._rejects_repeat(r"n_list repeats a value: \[60, 60\]", n_list=(60, 60))
+
+    def test_repeated_level(self):
+        self._rejects_repeat(r"levels repeats a value: \[0.05, 0.1, 0.05\]", levels=(0.05, 0.10, 0.05))
+
 
     @pytest.mark.parametrize(
         "fitter",
@@ -278,6 +299,15 @@ class TestTableSerialization:
         assert table.standard_error("Cm", 100, 10, 0.05) == pytest.approx(
             np.sqrt(0.04 * 0.96 / 1000)
         )
+
+    def test_standard_error_of_a_table_read_from_csv(self, tmp_path):
+        # The CSV holds frequencies only, so the table read back has no replication count.
+        path = tmp_path / "table.csv"
+        McTable(cells={("Cm", 100, 10, 0.05): 0.04}, replications=1000).to_csv(path)
+        again = McTable.from_csv(path)
+        assert again.frequency("Cm", 100, 10, 0.05) == 0.04
+        with pytest.raises(EmptySample, match="read from CSV"):
+            again.standard_error("Cm", 100, 10, 0.05)
 
 
 class TestExperimentConfig:
