@@ -7,7 +7,8 @@ BLOCKS:
   ``GARCH_MODELS``, the ar_arch workload's AR(1)-ARCH(2), the ar_null
   workload's AR(1) and the battery workload's TAR) at the default burn-in,
   one ``_simulate_block`` call on R seeds 1000..; ``ms_per_path`` is its time
-  divided by R.
+  divided by R, and ``sha256`` the digest of the paths' bytes, so that trees
+  which give the same bits show the same digest.
 - ``lag_kernel``: for each largest lag M in MAX_LAGS, the four kinds rho_11,
   rho_22, rho_12 and rho_21 at lags 0..M of R standard normal residual series
   (seeds 1000..) through ``LagCorrelations.stack``, kernels built in the call;
@@ -39,6 +40,10 @@ BLOCKS:
   a CSV of one path of the workload's model at its largest n. ``s`` is the
   interpreter's own time from before the import to the command's end, and
   ``peak_rss_mb`` its peak resident memory.
+- ``mc_call``: for each workload of ``WORKLOADS``, ``portmanteau mc`` on one
+  worker for one call of the benchmark's size, as bench/run.py makes it: an
+  in-process ``cli.main`` call after one warm-up call, writing its result
+  files to a temporary directory; ``ms_per_call`` is its time.
 
 Each time is the best of the layer's ``repeat`` calls. Each ``--tree
 LABEL=SRC`` loads the package found in SRC under its own module name, so
@@ -63,7 +68,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
+import hashlib
+import importlib
 import importlib.util
+import io
 import itertools
 import json
 import platform
@@ -151,9 +160,11 @@ COMMANDS = {
 def _simulate_cell(pkg, model: str, n: int, block: int):
     spec = pkg.ModelSpec(model=MODELS[model](pkg))
     seeds = [1000 + k for k in range(block)]
+    paths, _ = pkg.models._simulate_block(spec, n, seeds)
+    digest = hashlib.sha256(paths.tobytes()).hexdigest()
     return (
         [lambda: pkg.models._simulate_block(spec, n, seeds)],
-        lambda best: {"ms_per_path": round(1e3 * best[0] / block, 4)},
+        lambda best: {"ms_per_path": round(1e3 * best[0] / block, 4), "sha256": digest},
     )
 
 
@@ -249,6 +260,26 @@ def _startup_cell(pkg, command: str, workload: str):
     return [call], fields
 
 
+def _mc_call_cell(pkg, workload: str):
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    tmp = tempfile.TemporaryDirectory()
+    argv = ["mc", "--config", json.dumps(WORKLOADS[workload]), "--workers", "1", "--out", f"{tmp.name}/mc"]
+
+    def call():
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        if code:
+            raise RuntimeError(f"mc on {workload} exited with {code}")
+
+    call()
+
+    def fields(best: list) -> dict:
+        tmp.cleanup()
+        return {"ms_per_call": round(1e3 * best[0], 3)}
+
+    return [call], fields
+
+
 class Layer(NamedTuple):
     name: str  # the output's ``layer``
     axes: Callable  # () -> {key: values}: the cells are their product, in this order
@@ -312,6 +343,15 @@ LAYERS = {
         "s: the best of a fresh interpreter's own times from before the package's import to the command's end "
         "(not the best call's wall); peak_rss_mb: the largest peak resident memory of those interpreters; "
         "mc on one worker, master seed 4242; the test CSV is seed 4242 of the workload's model",
+    ),
+    "mc_call": Layer(
+        "cli.mc_call",
+        lambda: {"workload": WORKLOADS},
+        _mc_call_cell,
+        {"ratio": "ms_per_call"},
+        15,
+        "ms_per_call: an in-process portmanteau mc call on one worker, after a warm-up call, as bench/run.py makes "
+        "it (its config and replicates per call, master seed 4242), result files in a temporary directory",
     ),
 }
 

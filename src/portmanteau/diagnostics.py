@@ -405,19 +405,25 @@ def cm_test(series: ResidualSeries | LagCorrelations, m: int, p_plus_q: int = 0)
 # ---------------------------------------------------------------------------
 
 
-def li_mak(eps, sigma2, m: int, b: int, a: int, weighted: bool = False) -> TestReport:
+def li_mak(eps, sigma2, m: int, b: int, a: int, weighted: bool = False, acfs=None) -> TestReport:
     """Quadratic form on standardized squared-residual autocorrelations.
 
     ``sigma2`` are the fitted conditional variances; the correction b+a is the
     number of fitted variance-equation lag parameters. Unweighted and
     triangularly weighted variants share the chi-square null with m-(b+a)
     degrees of freedom.
+
+    ``acfs``, when given, is a function of no arguments giving the
+    autocorrelations at lags 1..M for some M >= m, ``garch_standardized_sq_acfs``
+    of these inputs at M; the statistic reads their first m, bit for bit the
+    values computed at m, because no lag's value depends on M.
     """
     name = "Lbw" if weighted else "Lb"
     null = null_distribution(name, m, garch_orders=(b, a))
     wts = (m - np.arange(1, m + 1) + (b + 1.0)) / m
     form = (lambda x, n, m: n * float(wts @ (x * x))) if weighted else _bp
-    return _evaluate(name, form, lambda: garch_standardized_sq_acfs(eps, sigma2, m), len(eps), m, null)
+    read = (lambda: garch_standardized_sq_acfs(eps, sigma2, m)) if acfs is None else (lambda: acfs()[:m])
+    return _evaluate(name, form, read, len(eps), m, null)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +440,7 @@ def evaluate_statistics(
     garch_sigma2=None,
     garch_orders: tuple[int, int] = (0, 0),
     correlations: LagCorrelations | None = None,
+    garch_acfs=None,
 ) -> dict[str, TestReport]:
     """Compute the requested statistics at one lag order on one residual series.
 
@@ -446,8 +453,10 @@ def evaluate_statistics(
 
     ``garch_eps``/``garch_sigma2`` feed the Lb family and must come from a
     fitted conditional-variance model; requesting Lb/Lbw without them is an
-    error. Statistics whose correlation matrices degenerate are returned as
-    degenerate reports rather than raised.
+    error. ``garch_acfs`` passes in their autocorrelations as ``li_mak``'s
+    ``acfs`` does, computed once and shared by every lag order; without it
+    they are computed here at m. Statistics whose correlation matrices
+    degenerate are returned as degenerate reports rather than raised.
     """
     if correlations is None:
         corr = LagCorrelations(series, m)
@@ -464,7 +473,7 @@ def evaluate_statistics(
             if garch_eps is None or garch_sigma2 is None:
                 raise InvalidSpec(f"{name} requires fitted conditional variances")
             b, a = garch_orders
-            reports[name] = li_mak(garch_eps, garch_sigma2, m, b, a, weighted=(name == "Lbw"))
+            reports[name] = li_mak(garch_eps, garch_sigma2, m, b, a, weighted=(name == "Lbw"), acfs=garch_acfs)
         else:
             raise InvalidSpec(f"unknown statistic {name!r}")
     return reports

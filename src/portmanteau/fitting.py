@@ -193,15 +193,16 @@ _NOISE = 1e-13
 _ONE = np.ones(1)
 
 
-def _line_search(x, f, g, p, slope, step, objective, data):
+def _line_search(x, f, g, gmax, p, slope, step, objective, data):
     """Armijo backtracking along p from each row of x, in lock step: (x, f, g, moved) at the accepted points.
 
     A row accepts the first step that lowers f by at least 1e-4 step |slope|,
     shrinking the step by quadratic interpolation, kept within [0.1, 0.5] of
     the last, on each refusal. Near an optimum the decrease drowns in the
     rounding of f, so the full step is also accepted when f rises by at most
-    ``_NOISE`` |f| and the largest gradient component shrinks. A row whose step
-    no longer moves x keeps (x, f, g) and is not ``moved``.
+    ``_NOISE`` |f| and the largest gradient component shrinks from ``gmax``,
+    the largest of g's. A row whose step no longer moves x keeps (x, f, g) and
+    is not ``moved``.
     """
     trial = x + step[:, None] * p
     f_trial, g_trial = objective(trial, *data)
@@ -209,7 +210,7 @@ def _line_search(x, f, g, p, slope, step, objective, data):
     moved = (decrease < 0.0) & (decrease <= _ARMIJO * step * slope)
     if moved.all():
         return trial, f_trial, g_trial, moved
-    moved |= (decrease <= _NOISE * np.abs(f)) & (np.abs(g_trial).max(axis=1) < np.abs(g).max(axis=1))
+    moved |= (decrease <= _NOISE * np.abs(f)) & (np.abs(g_trial).max(axis=1) < gmax)
     keep = moved[:, None]
     x_new, f_new, g_new = np.where(keep, trial, x), np.where(moved, f_trial, f), np.where(keep, g_trial, g)
     rows = np.flatnonzero(~moved)
@@ -248,9 +249,10 @@ def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, objective, data: tuple):
     so each step costs numpy calls on the live runs only.
     """
     d = x.shape[1]
-    out = [x.copy(), f.copy(), np.abs(g).max(axis=1) <= _GTOL, np.zeros(len(x), dtype=int)]
+    gmax = np.abs(g).max(axis=1)
+    out = [x.copy(), f.copy(), gmax <= _GTOL, np.zeros(len(x), dtype=int)]
     live = np.flatnonzero(~out[2])
-    x, f, g, data = x[live], f[live], g[live], tuple(part[live] for part in data)
+    x, f, g, gmax, data = x[live], f[live], g[live], gmax[live], tuple(part[live] for part in data)
     inverse = np.tile(np.eye(d), (live.size, 1, 1))
     step = 1.0 / np.maximum(1.0, np.sqrt(np.add.reduce(g * g, axis=1)))
     iteration = 0
@@ -262,7 +264,7 @@ def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, objective, data: tuple):
             inverse[uphill] = np.eye(d)
             p[uphill] = -g[uphill]
             slope[uphill] = -np.add.reduce(g[uphill] * g[uphill], axis=1)
-        x_new, f_new, g_new, moved = _line_search(x, f, g, p, slope, step, objective, data)
+        x_new, f_new, g_new, moved = _line_search(x, f, g, gmax, p, slope, step, objective, data)
         iteration += 1
         s, y = x_new - x, g_new - g
         sy = np.add.reduce(s * y, axis=1)
@@ -274,17 +276,20 @@ def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, objective, data: tuple):
         cross = s[:, :, None] * hy[:, None, :]
         change = scale[:, None, None] * (s[:, :, None] * s[:, None, :])
         change -= rho[:, None, None] * (cross + cross.transpose(0, 2, 1))
-        inverse += np.where(update[:, None, None], change, 0.0)
-        x, f, g, step = x_new, f_new, g_new, np.ones(live.size)
-        converged = np.abs(g).max(axis=1) <= _GTOL
-        stop = converged | ~moved | (iteration >= _MAX_ITER)
+        np.add(inverse, change, out=inverse, where=update[:, None, None])
+        x, f, g, gmax = x_new, f_new, g_new, np.abs(g_new).max(axis=1)
+        converged = gmax <= _GTOL
+        stop = converged | ~moved
+        if iteration >= _MAX_ITER:
+            stop[:] = True
         if stop.any():
             gone = live[stop]
             out[0][gone], out[1][gone], out[2][gone] = x[stop], f[stop], converged[stop]
             out[3][gone] = iteration - ~moved[stop]
             go = ~stop
-            live, x, f, g, inverse, step = live[go], x[go], f[go], g[go], inverse[go], step[go]
+            live, x, f, g, gmax, inverse = live[go], x[go], f[go], g[go], gmax[go], inverse[go]
             data = tuple(part[go] for part in data)
+        step = np.ones(live.size)
     return tuple(out)
 
 
@@ -535,10 +540,10 @@ def _garch_nll_score(x: np.ndarray, padded: np.ndarray, eps2: np.ndarray, v0, b:
     grad = np.empty_like(x)
     grad[..., 0] = omega * score[..., 0]
     grad[..., 1:] = weights * (score[..., 1:] - np.add.reduce(weights * score[..., 1:], axis=-1, keepdims=True))
-    bad = ~np.isfinite(val)
-    if bad.any():
-        grad[bad] = 0.0
-        val = np.where(bad, 1e300, val)
+    finite = np.isfinite(val)
+    if not finite.all():
+        grad[~finite] = 0.0
+        val = np.where(finite, val, 1e300)
     return val, grad
 
 

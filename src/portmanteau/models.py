@@ -19,6 +19,7 @@ call, so a run that never filters skips its 0.85 s import.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -165,32 +166,35 @@ class Garch:
         # to k lags, gives both dots: numpy hands each to BLAS ddot, so a row
         # rounds as a lone path's ndarray dot does (ddot fuses the multiply-add,
         # and a padded zero adds an exact 0). A plain (rows, k) @ (k,) product,
-        # einsum or a float sum rounds differently.
+        # einsum or a float sum rounds differently. Every view a step reads or
+        # writes is built before the loop, one step's views a zipped item, and
+        # e_t overwrites xi_t, so a step costs five numpy calls (six with a
+        # beta), made through local names, and no slicing.
         lags = (self.alpha, self.beta) if self.a else (self.alpha,)
         k = max(map(len, lags))
         coef = np.zeros((len(lags), k, 1))
         for j, c in enumerate(lags):
             coef[j, : len(c), 0] = c
         hist = np.full((rows, len(lags), 1, total + k), self.unconditional_variance)
-        e2_hist, s2_hist = hist[:, 0, 0], hist[:, -1, 0]
+        # Step t's window (rows, channels, 1, k) starts at column total - t; it writes column total - 1 - t.
+        windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(hist, k, axis=-1), 3, 0)[total:0:-1]
+        e2_out = hist[:, 0, 0].T[total - 1 :: -1]
+        s2_out = hist[:, -1, 0].T[total - 1 :: -1] if self.a else itertools.repeat(np.empty(rows), total)
         dots = np.empty((rows, len(lags), 1, 1))
         alpha_dot, beta_dot = dots[:, 0, 0, 0], dots[:, -1, 0, 0]
-        eps = np.empty_like(xi)
-        s2 = np.empty(rows)
-        omega, garch = self.omega, bool(self.a)
-        for t in range(total):
-            c = total - t
-            np.matmul(hist[:, :, :, c : c + k], coef, dots)
+        sd = np.empty(rows)
+        # A 0-d array: numpy converts a Python float again at every call.
+        omega, garch = np.array(self.omega), bool(self.a)
+        matmul, add, sqrt, multiply = np.matmul, np.add, np.sqrt, np.multiply
+        for window, s2, e2, e in zip(windows, s2_out, e2_out, xi):
+            matmul(window, coef, dots)
+            add(omega, alpha_dot, s2)
             if garch:
-                s2 = s2_hist[:, c - 1]
-            np.add(omega, alpha_dot, s2)
-            if garch:
-                s2 += beta_dot
-            e = eps[t]
-            np.sqrt(s2, e)
-            e *= xi[t]
-            np.multiply(e, e, e2_hist[:, c - 1])
-        return np.ascontiguousarray(eps.T)
+                add(s2, beta_dot, s2)
+            sqrt(s2, sd)
+            multiply(sd, e, e)
+            multiply(e, e, e2)
+        return np.ascontiguousarray(xi.T)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .fitting import (
 from .models import (
     _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _convert, _from_dict, _simulate_block, _to_dict, spec_from_dict,
 )
-from .residuals import LagCorrelations, _lone
+from .residuals import LagCorrelations, _lone, garch_standardized_sq_acfs
 
 CONFIG_SCHEMA_VERSION = 1
 # Replicates simulated and fitted together, as the rows of one block: at most
@@ -216,8 +216,9 @@ class McTable:
                 for s, n, m, level, freq in self.rows()
             ],
         }
+        # One write of the whole text: json.dump would write it in small chunks.
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(json.dumps(payload, indent=2))
 
     @staticmethod
     def from_csv(path) -> "McTable":
@@ -327,15 +328,26 @@ def evaluate_fit(
     that one lag kernel: ``correlations`` when given (a kernel of the fit's
     residuals at a largest lag >= max(m_list), such as a row of
     ``_lag_kernels``), else a kernel of its own. The Lb family reads the
-    fit's conditional variances.
+    fit's conditional variances, through one ``garch_standardized_sq_acfs``
+    call at the largest m, made at its first read and sliced for every m (a
+    degenerate input raises at every read).
     """
-    sigma2 = None if fit.conditional_sd is None else fit.conditional_sd * fit.conditional_sd
+    sigma2 = acfs = values = None
+    if fit.conditional_sd is not None:
+        sigma2 = fit.conditional_sd * fit.conditional_sd
+
+        def acfs():
+            nonlocal values
+            if values is None:
+                values = garch_standardized_sq_acfs(fit.garch_eps, sigma2, max(m_list))
+            return values
+
     if correlations is None:
         correlations = LagCorrelations(fit.residuals, max(m_list))
     return [
         evaluate_statistics(
             statistics, fit.residuals, m, order_correction=fit.order_correction, garch_eps=fit.garch_eps,
-            garch_sigma2=sigma2, garch_orders=fit.garch_orders, correlations=correlations,
+            garch_sigma2=sigma2, garch_orders=fit.garch_orders, correlations=correlations, garch_acfs=acfs,
         )
         for m in m_list
     ]
@@ -405,14 +417,17 @@ def run_experiment(exp: Experiment, workers: int | None = None, log=None) -> McT
 
     The resulting table is bitwise identical for any worker count because each
     replicate is seeded independently and only integer counts are merged.
-    ``workers=None`` starts one worker per CPU the process may run on.
+    ``workers=None`` starts one worker per CPU the process may run on; a
+    count below 1 raises :class:`InvalidSpec` before any replicate runs.
     """
     exp.validate()
+    if workers is not None and workers < 1:
+        raise InvalidSpec(f"need at least one worker, got {workers}")
     t0 = time.perf_counter()
     reps = exp.replications
     if workers is None:
         workers = _available_cpus()
-    workers = max(1, min(workers, reps))
+    workers = min(workers, reps)
     if log:
         log(f"running {reps} replicates on {workers} worker(s)")
     bounds = [int(b) for b in np.linspace(0, reps, workers + 1, dtype=int)]

@@ -1,5 +1,6 @@
 """The layer timer on a shrunk grid: each layer's cell keys, its speed-ups and the merge of rows by label."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -7,19 +8,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import portmanteau
 from portmanteau import Arma, Garch, ModelSpec, fit_arma_css, fit_garch_qmle, simulate
+from portmanteau.models import _simulate_block
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_layer.py"
 SRC = str(ROOT / "src")
 # Layer: its cell keys, in order, and its number of cells on the shrunk grid.
 CELLS = {
-    "simulate": (["model", "n", "block", "ms_per_path"], 7 * 2),
+    "simulate": (["model", "n", "block", "ms_per_path", "sha256"], 7 * 2),
     "lag_kernel": (["n", "max_lag", "block", "us_per_series"], 2 * 2),
     "garch_qmle": (["order", "n", "ms_per_fit", "iterations", "loglik_mean", "block_ms_per_row"], 1),
     "arma_css": (["order", "n", "ms_per_fit", "iterations", "loglik_mean", "block_ms_per_row"], 1),
     "statistics": (["design", "n", "block", "us_per_series"], 2 * 2),
     "startup": (["command", "workload", "s", "peak_rss_mb"], 3 * 1),
+    "mc_call": (["workload", "ms_per_call"], 1),
 }
 
 
@@ -60,6 +64,13 @@ def test_each_layer_writes_its_cells_and_speedups(bench_layer, layer, tmp_path):
         fits = [fit_arma_css(simulate(spec, 200, seed), 1, 1) for seed in range(3)]
         assert cells[0]["iterations"] == float(np.mean([fit.iterations for fit in fits]))
         assert cells[0]["loglik_mean"] == float(np.mean([fit.loglik for fit in fits]))
+    if layer == "simulate":
+        # Both rows load the same tree, so every cell shows the same bits; the digest is of the block's paths.
+        assert [cell["sha256"] for cell in payload["rows"][0]["cells"]] == [cell["sha256"] for cell in cells]
+        spec = ModelSpec(model=bench_layer.MODELS["ar_arch"](portmanteau))
+        paths, _ = _simulate_block(spec, 200, [1000, 1001])
+        ar_arch = next(c for c in cells if (c["model"], c["block"]) == ("ar_arch", 2))
+        assert ar_arch["sha256"] == hashlib.sha256(paths.tobytes()).hexdigest()
     if layer == "garch_qmle":
         # The lone fits are of seeds 0..2, though the blocks need only seeds 0 and 1.
         spec = ModelSpec(model=Garch(**bench_layer.GARCH_MODELS[1, 0]), burn_in=200)

@@ -21,6 +21,8 @@ FAMILIES = {
     "garch_20": Garch(omega=0.2, alpha=(0.2, 0.2)),
     "garch_11": Garch(omega=0.1, alpha=(0.1,), beta=(0.8,)),
     "garch_21": Garch(omega=0.1, alpha=(0.1, 0.1), beta=(0.6,)),
+    # More beta lags than alpha lags: beta sets the recursion's lag window.
+    "garch_12": Garch(omega=0.1, alpha=(0.1,), beta=(0.5, 0.3)),
     "arma_garch": ArmaGarch(arma=Arma(phi=(0.2,)), garch=Garch(omega=0.2, alpha=(0.2, 0.2))),
     "tar": Tar(phi0_lower=0.3, phi1_lower=-1.5, phi0_upper=-0.2, phi1_upper=0.5, c=0.1),
     "star": Star(lower_coeff=-0.5, upper_coeff=0.9),

@@ -5,12 +5,14 @@ import datetime
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import portmanteau
 from portmanteau import ALL_STATISTICS
 from portmanteau.cli import main, parse_fit_spec, read_returns_csv
 from portmanteau.errors import ConfigError, CsvFormatError
@@ -424,6 +426,13 @@ class TestMalformedConfigs:
         assert "running" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_mc_worker_count_below_one(self, workers, tmp_path, capsys):
+        config = _experiment()
+        err = self._check(["mc", "--config", config, "--workers", workers, "--out", str(tmp_path / "x")], capsys)
+        assert err == f"error: need at least one worker, got {workers}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("fit", MALFORMED_FIT_SPECS)
     @pytest.mark.parametrize("command", ["fit", "test"])
     def test_fit_spec(self, command, fit, tmp_path, capsys):
@@ -446,6 +455,62 @@ class TestFitCommand:
         payload = json.loads(text)
         assert payload["kind"] == "ar"
         assert abs(payload["params"]["phi"][0] - 0.1) < 0.2
+
+
+class TestCallsInOneProcess:
+    """``main`` parses every call with the process's one parser, so a call must leave it as it was."""
+
+    CALLS = {
+        "test": ["test", "returns.csv", "--fit", "ar:1+arch:1", "--lags", "4,6", "--format", "json"],
+        "mc": ["mc", "--config", "exp.json", "--workers", "1", "--out", "one"],
+        "mc_default_workers": ["mc", "--config", "exp.json", "--out", "default"],
+    }
+
+    @staticmethod
+    def _outputs(where, code, out, err) -> dict:
+        """A call's exit code, stdout, stderr without its timing, and each file (a table without ``elapsed``)."""
+        files = {}
+        for path in sorted(where.iterdir()):
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json" and path.name != "exp.json":
+                payload = json.loads(text)
+                payload.pop("elapsed")
+                text = json.dumps(payload)
+            files[path.name] = text
+        return {"code": code, "out": out, "err": re.sub(r"done in [0-9.]+s", "done", err), "files": files}
+
+    def _inputs(self, where, capsys):
+        where.mkdir()
+        code, _, _ = _run(["simulate", "--model", ARMA_SPEC, "--n", "120", "--out", str(where / "returns.csv")], capsys)
+        assert code == 0
+        config = {
+            "schema": 1,
+            "generator": {"model": {"kind": "arma_garch", "arma": {"kind": "arma", "phi": [0.2]},
+                                    "garch": {"kind": "garch", "omega": 0.2, "alpha": [0.2, 0.2]}}, "burn_in": 100},
+            "fitter": {"kind": "ar_garch", "p": 1, "b": 1, "a": 0, "intercept": False},
+            "n": [80],
+            "m": [4, 6],
+            "replications": 4,
+            "statistics": ["Cm", "Lb", "Lbw"],
+            "master_seed": 11,
+        }
+        _write(where / "exp.json", json.dumps(config))
+
+    def test_calls_match_separate_processes(self, tmp_path, capsys, monkeypatch):
+        together, apart = tmp_path / "together", tmp_path / "apart"
+        self._inputs(together, capsys)
+        self._inputs(apart, capsys)
+        monkeypatch.chdir(together)
+        in_process = [self._outputs(together, *_run(argv, capsys)) for argv in self.CALLS.values()]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(portmanteau.__file__)))
+        separate = []
+        for argv in self.CALLS.values():
+            proc = subprocess.run(
+                [sys.executable, "-m", "portmanteau.cli", *argv], cwd=apart, env=env, capture_output=True, text=True
+            )
+            separate.append(self._outputs(apart, proc.returncode, proc.stdout, proc.stderr))
+        assert [o["code"] for o in in_process] == [0, 0, 0]
+        assert in_process == separate
 
 
 def test_console_entry_point_runs():

@@ -1,25 +1,31 @@
 """Replication engine: determinism, counting semantics, configuration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from portmanteau import (
     Arma,
+    ArmaGarch,
     Experiment,
     FitterSpec,
     Garch,
     McTable,
     ModelSpec,
     Star,
+    evaluate_statistics,
     experiment_from_dict,
     experiment_to_dict,
     rejection_frequency,
     replicate_seed,
     run_experiment,
+    simulate,
 )
 from portmanteau.errors import ConfigError, EmptySample, InvalidSpec
-from portmanteau import montecarlo
-from portmanteau.montecarlo import _block_rows
+from portmanteau import diagnostics, montecarlo
+from portmanteau.montecarlo import _block_rows, fit_series
+from portmanteau.residuals import garch_standardized_sq_acfs
 
 
 def _small_experiment(**overrides):
@@ -83,6 +89,17 @@ class TestRunExperiment:
         exp = _small_experiment(replications=4)
         assert run_experiment(exp, log=logs.append).cells == run_experiment(exp, workers=1).cells
         assert "on 1 worker(s)" in logs[0]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected_before_any_replicate(self, workers, monkeypatch):
+        def no_replicates(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(montecarlo, "_run_replicates", no_replicates)
+        logs = []
+        with pytest.raises(InvalidSpec, match=f"need at least one worker, got {workers}"):
+            run_experiment(_small_experiment(replications=4), workers=workers, log=logs.append)
+        assert logs == []
 
     def test_single_replication_gives_indicators(self):
         exp = _small_experiment(replications=1)
@@ -269,6 +286,59 @@ class TestValidation:
         generator = ModelSpec(model=Arma(phi=(0.3, 0.1)))
         resolved = FitterSpec(kind="true", intercept=False).resolve(generator)
         assert resolved == FitterSpec(kind="ar", p=2, intercept=False)
+
+
+class TestEvaluateFit:
+    """The Li-Mak pair reads one ``garch_standardized_sq_acfs`` call per fit, at the largest m."""
+
+    NAMES = ("Cm", "Lb", "Lbw")
+    M_LIST = (4, 6, 10)
+
+    @staticmethod
+    def _fit():
+        spec = ModelSpec(model=ArmaGarch(arma=Arma(phi=(0.2,)), garch=Garch(omega=0.2, alpha=(0.2, 0.2))), burn_in=100)
+        return fit_series(simulate(spec, 300, 5), FitterSpec(kind="ar_garch", p=1, b=1, a=0, intercept=False))
+
+    def _per_m(self, fit) -> list:
+        """The reports of each m computed on their own, Li-Mak's inputs read at that m."""
+        sigma2 = fit.conditional_sd * fit.conditional_sd
+        return [
+            evaluate_statistics(
+                self.NAMES, fit.residuals, m, order_correction=fit.order_correction, garch_eps=fit.garch_eps,
+                garch_sigma2=sigma2, garch_orders=fit.garch_orders,
+            )
+            for m in self.M_LIST
+        ]
+
+    def _counted(self, fit, monkeypatch) -> tuple[list, list]:
+        calls = []
+
+        def counting(eps, sigma2, m):
+            calls.append(m)
+            return garch_standardized_sq_acfs(eps, sigma2, m)
+
+        monkeypatch.setattr(montecarlo, "garch_standardized_sq_acfs", counting)
+        monkeypatch.setattr(diagnostics, "garch_standardized_sq_acfs", counting)
+        return montecarlo.evaluate_fit(fit, self.NAMES, self.M_LIST), calls
+
+    def test_one_call_at_the_largest_m_gives_the_per_m_reports(self, monkeypatch):
+        fit = self._fit()
+        expected = self._per_m(fit)
+        reports, calls = self._counted(fit, monkeypatch)
+        assert calls == [max(self.M_LIST)]
+        assert reports == expected
+        assert all(not r.degenerate for by_name in reports for r in by_name.values())
+
+    def test_degenerate_input_is_degenerate_at_every_m(self, monkeypatch):
+        # |e| as the conditional sd makes every e^2/s^2 one: no variance to correlate.
+        fit = self._fit()
+        fit = replace(fit, conditional_sd=np.abs(fit.garch_eps))
+        expected = self._per_m(fit)
+        reports, _ = self._counted(fit, monkeypatch)
+        assert [{k: repr(r) for k, r in by_name.items()} for by_name in reports] == [
+            {k: repr(r) for k, r in by_name.items()} for by_name in expected
+        ]
+        assert all(by_name[name].degenerate for by_name in reports for name in ("Lb", "Lbw"))
 
 
 class TestTableSerialization:
