@@ -18,7 +18,11 @@ BLOCKS:
   0..SERIES-1 of the matching GARCH model at burn-in 200: ``ms_per_fit`` is
   the mean of their times, with the mean ``iterations`` and log-likelihood.
   ``block_ms_per_row`` times one ``fit_garch_block`` call on the first R of
-  those seeds, per row.
+  those seeds, per row. One more order per workload of ``WORKLOADS`` that
+  fits a GARCH (the ar_arch workload's AR(1)-ARCH(1) fit on its AR(1)-ARCH(2)
+  model), named after the workload: the same fields, at each n, for the
+  workload's fitter (``montecarlo._fit_rows``) on its model's paths at
+  burn-in 200, a lone fit being the block of one.
 - ``arma_css``: the same fields for each order (p, q) of ``ARMA_MODELS``
   (three of ``tests/test_arma_css_floor.py``) and ``fit_arma_css``, the
   block being the engine's ``montecarlo._fit_rows`` with an ARMA(p, q)
@@ -199,6 +203,13 @@ def _fit_cell(pkg, model, n: int, fit_lone: Callable, fit_block: Callable):
 
 
 def _garch_qmle_cell(pkg, order: str, n: int):
+    if order in WORKLOADS:
+        exp = pkg.experiment_from_dict(WORKLOADS[order])
+        fit_rows = pkg.montecarlo._fit_rows
+        return _fit_cell(
+            pkg, exp.generator.model, n, lambda z: fit_rows(z[None], exp.fitter)[0],
+            lambda rows: fit_rows(rows, exp.fitter),
+        )
     b, a = (int(part) for part in order.split(","))
     return _fit_cell(
         pkg, pkg.Garch(**GARCH_MODELS[b, a]), n, lambda z: pkg.fit_garch_qmle(z, b, a),
@@ -309,12 +320,16 @@ LAYERS = {
     ),
     "garch_qmle": Layer(
         "fitting.fit_garch_qmle",
-        lambda: {"order": [f"{b},{a}" for b, a in GARCH_MODELS], "n": SIZES},
+        lambda: {
+            "order": [f"{b},{a}" for b, a in GARCH_MODELS]
+            + [name for name, config in WORKLOADS.items() if config["fitter"]["kind"] in ("garch", "ar_garch")],
+            "n": SIZES,
+        },
         _garch_qmle_cell,
         {"ratio": "ms_per_fit", "block_ratio": "block_ms_per_row"},
         5,
         f"ms_per_fit: mean over seeds 0..{SERIES - 1} of a lone fit; block_ms_per_row: a block of the first R "
-        "seeds, per row; burn-in 200",
+        "seeds, per row; burn-in 200; an order named after a workload is its fitter on its model's paths",
     ),
     "arma_css": Layer(
         "fitting.fit_arma_css",

@@ -8,7 +8,8 @@ with a JUnit XML report added, and exits 0 only when every collected test ran
 (no collection error, no error, no skip) and the only failure is
 ``test_criterion_5_ar_arch_power``, which fails by design (see README.md). A
 passing criterion 5 also exits 1: it means its check or its data changed.
-Nothing is deselected. Extra arguments are passed on to pytest.
+Nothing is deselected. Extra arguments are passed on to pytest. It also prints
+the suite's wall time and its five slowest tests, as the report records them.
 
 Usage: python scripts/check_tier1.py [pytest args...]
 """
@@ -45,6 +46,14 @@ def outcomes(report: Path) -> dict[str, str]:
     return out
 
 
+def timings(report: Path) -> tuple[float, list[tuple[float, str]]]:
+    """(the suite's time, its five slowest tests as (seconds, id), slowest first) from a JUnit XML report."""
+    root = ET.parse(report).getroot()
+    total = sum(float(suite.get("time", 0.0)) for suite in root.iter("testsuite"))
+    cases = sorted(((float(case.get("time", 0.0)), _test_id(case)) for case in root.iter("testcase")), reverse=True)
+    return total, cases[:5]
+
+
 def verdict(results: dict[str, str]) -> tuple[bool, list[str]]:
     """(ok, lines): ok only if every test ran and the failures are exactly EXPECTED_FAILURES."""
     failed = {t for t, s in results.items() if s == "failed"}
@@ -69,6 +78,9 @@ def main(argv: list[str]) -> int:
             print(f"check_tier1: pytest wrote no report (exit {proc.returncode})")
             return 1
         ok, lines = verdict(outcomes(report))
+        total, slowest = timings(report)
+    lines.append(f"suite time {total:.1f} s")
+    lines += [f"slow: {seconds:.2f} s {test}" for seconds, test in slowest]
     for line in lines:
         print(f"check_tier1: {line}")
     print(f"check_tier1: {'OK' if ok else 'NOT OK'}")

@@ -183,6 +183,8 @@ def select_ar_order_aic(series, p_max: int = 4, intercept: bool = True) -> FitRe
 
 # Stop a BFGS run once its largest gradient component is at most this.
 _GTOL = 1e-6
+# An ARCH run settles on the alpha = 0 face (fit_garch_block) once its alpha mass is below this.
+_FACE_MASS = 1e-2
 # Sufficient-decrease constant of the line search.
 _ARMIJO = 1e-4
 # Stop a BFGS run unconverged after this many iterations.
@@ -232,7 +234,7 @@ def _line_search(x, f, g, gmax, p, slope, step, objective, data):
         rows, step, decrease, trial = rows[~ok], step[~ok], decrease[~ok], trial[~ok]
 
 
-def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, objective, data: tuple):
+def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, objective, data: tuple, face=None):
     """Minimize ``objective`` by BFGS from each row of x, the runs in lock step.
 
     ``objective(x, *data)`` gives (f, g), the value and gradient at each row
@@ -247,6 +249,11 @@ def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, objective, data: tuple):
     if its direction is not a descent one. Returns the final (x, f,
     converged, iterations) of each run. A run that stops leaves the stack,
     so each step costs numpy calls on the live runs only.
+
+    ``face(x, f, *data)``, if given, is called on the live runs after each
+    iteration. It moves the runs that settle on a face of the domain, which x
+    reaches only in the limit, to the face's point and value in x and f, and
+    returns their indices; those runs leave the stack converged.
     """
     d = x.shape[1]
     gmax = np.abs(g).max(axis=1)
@@ -280,6 +287,10 @@ def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, objective, data: tuple):
         x, f, g, gmax = x_new, f_new, g_new, np.abs(g_new).max(axis=1)
         converged = gmax <= _GTOL
         stop = converged | ~moved
+        if face is not None:
+            settled = face(x, f, *data)
+            if settled.size:
+                converged[settled] = stop[settled] = True
         if iteration >= _MAX_ITER:
             stop[:] = True
         if stop.any():
@@ -578,6 +589,16 @@ def fit_garch_block(rows, b: int, a: int) -> list:
     optimum that another run confirms raises no ``non_convergence`` flag.
     ``iterations`` is the number of BFGS iterations summed over the runs made.
 
+    An ARCH fit (a = 0) whose optimum is the all-zero face alpha = 0 would
+    crawl towards it, as the logits reach it only at -inf. So before BFGS
+    each row's face is computed in closed form: its NLL at omega = v0, and
+    its score dNLL/dalpha_i = (1/(2 v0)) sum_t (1 - e_t^2/v0) e^2_{t-i}. After
+    each iteration, a run leaves the stack converged on the face when the
+    face is a KKT point (every such score >= 0), the run's alpha mass is
+    below ``_FACE_MASS`` and the face's NLL is at most the run's. The fit
+    then reports alpha = 0 exactly, omega = v0, no flag, and the iterations
+    the run made.
+
     A row whose squares overflow fails with :class:`NonFinite`, and a row of
     zeros with :class:`SingularDesign`, before any run.
 
@@ -616,10 +637,33 @@ def fit_garch_block(rows, b: int, a: int) -> list:
         x[:, k, 0] = np.log(v0 * slack)
         x[:, k, 1:] = np.log(np.clip(start, 1e-10, None) / slack)
     x = x.reshape(-1, 1 + b + a)
-    data = tuple(np.repeat(part, width, axis=0) for part in (padded, eps2, v0))
-    def objective(x, *rows):
-        return _garch_nll_score(x, *rows, b, a)
+    # The all-zero face of an ARCH fit (see above). Where it is no KKT point
+    # (some sum_t (1 - e_t^2/v0) e^2_{t-i} = 2 v0 dNLL/dalpha_i is negative)
+    # its NLL counts as +inf, so no run settles there.
+    if a == 0:
+        ratio = eps2 / v0[:, None]
+        w = 1.0 - ratio
+        kkt = np.add.reduce(padded[:, b - 1 : b - 1 + n] * w, axis=1) >= 0.0
+        for i in range(2, b + 1):
+            kkt &= np.add.reduce(padded[:, b - i : b - i + n] * w, axis=1) >= 0.0
+        face_nll = np.where(kkt, 0.5 * np.add.reduce(np.log(v0)[:, None] + ratio, axis=1), np.inf)
+    else:
+        face_nll = np.full(ok.size, np.inf)
+    data = tuple(np.repeat(part, width, axis=0) for part in (padded, eps2, v0, face_nll))
 
+    def objective(x, padded, eps2, v0, face_nll):
+        return _garch_nll_score(x, padded, eps2, v0, b, a)
+
+    def face(x, f, padded, eps2, v0, face_nll):
+        # A run whose alpha mass is small and whose NLL the face's does not exceed settles on the face.
+        runs = np.flatnonzero(face_nll <= f)
+        if runs.size:
+            runs = runs[np.add.reduce(_omega_weights(x[runs])[1], axis=1) < _FACE_MASS]
+            x[runs, 0], x[runs, 1:], f[runs] = np.log(v0[runs]), -np.inf, face_nll[runs]
+        return runs
+
+    # Only a block with a row whose face is a KKT point looks for the face.
+    settle = face if np.isfinite(face_nll).any() else None
     nll, grad = objective(x, *data)
     # The better half by starting NLL runs first (the sort is stable, so ties
     # keep split order). Only when no run of it converged to the kept NLL do
@@ -632,7 +676,7 @@ def fit_garch_block(rows, b: int, a: int) -> list:
     for stage in (ranked[:, : width // 2], ranked[:, width // 2 :]):
         runs = stage[pending].ravel()
         x[runs], nll[runs], success[runs], iterations[runs] = _bfgs(
-            x[runs], nll[runs], grad[runs], objective, tuple(part[runs] for part in data)
+            x[runs], nll[runs], grad[runs], objective, tuple(part[runs] for part in data), settle
         )
         made[runs] = True
         tried = np.where(made, nll, np.inf).reshape(-1, width)
@@ -642,6 +686,7 @@ def fit_garch_block(rows, b: int, a: int) -> list:
             break
     kept = np.argmin(tried, axis=1) + width * np.arange(ok.size)
     omega, alpha, beta = _unpack_garch(x[kept], b, a)
+    omega = np.where(np.isneginf(x[kept, -1]), v0, omega)  # a fit on the face has omega = v0 exactly
     sig2 = _garch_variances(padded, omega, alpha, beta, v0)
     sd = np.sqrt(sig2)
     loglik = -0.5 * np.sum(_LOG2PI + np.log(sig2) + eps2 / sig2, axis=1)

@@ -18,6 +18,7 @@ call, so a run that never filters skips its 0.85 s import.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import sys
@@ -85,9 +86,8 @@ def _lag_roots(coeffs) -> np.ndarray:
     return np.roots(np.concatenate(([1.0], -np.asarray(coeffs, dtype=float)))[::-1])
 
 
-def _check_roots(coeffs, error: type[Exception], label: str) -> np.ndarray:
-    """The roots of 1 - a1 z - ... - ap z^p; raise ``error`` unless each lies beyond 1 + 1e-10 in modulus."""
-    roots = _lag_roots(coeffs)
+def _check_roots(roots: np.ndarray, error: type[Exception], label: str) -> np.ndarray:
+    """``roots`` of a lag polynomial; raise ``error`` unless each lies beyond 1 + 1e-10 in modulus."""
     if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-10:
         raise error(f"{label} polynomial has a root on or inside the unit circle")
     return roots
@@ -110,9 +110,15 @@ class Arma:
     def q(self) -> int:
         return len(self.theta)
 
+    @functools.cached_property
+    def _roots(self) -> tuple:
+        """The roots of phi(B) and of theta(B), found once per instance: an mc
+        call validates its generator more than once."""
+        return _lag_roots(self.phi), _lag_roots([-t for t in self.theta])
+
     def validate(self) -> None:
-        ar_roots = _check_roots(self.phi, InvalidSpec, "autoregressive")
-        ma_roots = _check_roots([-t for t in self.theta], InvalidSpec, "moving-average")
+        ar_roots = _check_roots(self._roots[0], InvalidSpec, "autoregressive")
+        ma_roots = _check_roots(self._roots[1], InvalidSpec, "moving-average")
         for r in ar_roots:
             if np.any(np.abs(ma_roots - r) < 1e-8):
                 raise InvalidSpec("autoregressive and moving-average polynomials share a root")

@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_discrete_lyapunov
 
 from .corrmat import _as_array, logdet_pd
 from .errors import LagOutOfRange, NonInvertible, NonStationary, NotPositiveDefinite
-from .models import _check_roots, signal
+from .models import _check_roots, _lag_roots, signal
 from .residuals import (
     CorrSequence,
     ResidualSeries,
@@ -239,9 +239,9 @@ def build_qm(ar_coeffs, ma_coeffs, m: int) -> QmMatrix:
     phi = np.asarray(ar_coeffs, dtype=float)
     theta = np.asarray(ma_coeffs, dtype=float)
     p, q = phi.size, theta.size
-    _check_roots(phi, NonStationary, "autoregressive")
+    _check_roots(_lag_roots(phi), NonStationary, "autoregressive")
     # 1/theta(B) with theta(B) = 1 + t1 B + ... is the a-style expansion of -theta
-    _check_roots(-theta, NonInvertible, "moving-average")
+    _check_roots(_lag_roots(-theta), NonInvertible, "moving-average")
     weights = (m + 1.0 - np.arange(1, m + 1)) / (m + 1.0)
     if p + q == 0:
         return QmMatrix(

@@ -41,3 +41,30 @@ def test_verdict():
     assert not check_tier1.verdict({**ok, "tests.test_models::test_c": "failed"})[0]
     assert not check_tier1.verdict({**ok, CRIT5: "passed"})[0]
     assert not check_tier1.verdict({})[0]
+
+
+TIMED_REPORT = """<?xml version="1.0" encoding="utf-8"?>
+<testsuites><testsuite name="pytest" errors="0" failures="0" skipped="0" tests="7" time="12.5">
+<testcase classname="tests.test_a" name="test_1" time="0.5"/>
+<testcase classname="tests.test_a" name="test_2" time="3.25"/>
+<testcase classname="tests.test_b.TestX" name="test_3[startup]" time="6.0"/>
+<testcase classname="tests.test_b" name="test_4" time="0.01"/>
+<testcase classname="tests.test_c" name="test_5" time="1.0"/>
+<testcase classname="tests.test_c" name="test_6" time="0.75"/>
+<testcase classname="tests.test_c" name="test_7"/>
+</testsuite></testsuites>
+"""
+
+
+def test_timings_read_the_suite_time_and_the_five_slowest(tmp_path):
+    report = tmp_path / "r.xml"
+    report.write_text(TIMED_REPORT, encoding="utf-8")
+    total, slowest = check_tier1.timings(report)
+    assert total == 12.5
+    assert slowest == [
+        (6.0, "tests.test_b.TestX::test_3[startup]"),
+        (3.25, "tests.test_a::test_2"),
+        (1.0, "tests.test_c::test_5"),
+        (0.75, "tests.test_c::test_6"),
+        (0.5, "tests.test_a::test_1"),
+    ]

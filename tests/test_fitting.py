@@ -22,6 +22,8 @@ from portmanteau import (
 )
 from portmanteau.errors import InvalidSpec, NonFinite, SingularDesign
 from portmanteau.fitting import _MAX_ITER, _log_normaliser, _reflect_ma_roots, _unpack_garch
+from portmanteau import fitting
+from portmanteau.fitting import _omega_weights, fit_ar_garch_block
 
 
 class TestFitAr:
@@ -215,6 +217,70 @@ class TestGarchQmle:
         assert large.loglik + z.size * np.log(1e100) == pytest.approx(fit.loglik, abs=1e-6)
         assert large.params["omega"] / 1e200 == pytest.approx(fit.params["omega"], rel=1e-5)
         assert large.params["alpha"][0] == pytest.approx(fit.params["alpha"][0], rel=1e-5)
+
+
+
+def _fit_bits(fit) -> tuple:
+    """Everything a fit holds, floats as bytes."""
+    arrays = (fit.residuals.values, fit.conditional_sd, fit.garch_eps)
+    return (repr(fit.params), fit.loglik.hex(), fit.iterations, fit.converged, fit.flags, *(v.tobytes() for v in arrays))
+
+
+class TestArchFace:
+    """An ARCH fit whose optimum is the all-zero face alpha = 0 (omega = v0, the mean e^2) settles on it."""
+
+    # AR(1) fits of the ar_arch benchmark's AR(1)-ARCH(2) model at n = 200.
+    SPEC = ModelSpec(model=ArmaGarch(arma=Arma(phi=(0.2,)), garch=Garch(omega=0.2, alpha=(0.2, 0.2))))
+    # Seeds whose ARCH(1) optimum is the face, and seeds with an interior optimum, 67 at alpha = 0.0074.
+    FACE_SEEDS = (26, 36, 40, 68)
+    INTERIOR_SEEDS = (7, 25, 48, 67)
+
+    def _fit(self, seed):
+        return fit_ar_garch(simulate(self.SPEC, 200, seed), 1, 1, 0, intercept=False)
+
+    @staticmethod
+    def _face_score(eps):
+        """2 v0 dNLL/dalpha_1 at the face: sum_t (1 - e_t^2/v0) e^2_{t-1}, with pre-sample e^2 = v0."""
+        e2 = eps * eps
+        v0 = e2.mean()
+        return float(np.sum((1.0 - e2 / v0) * np.concatenate(([v0], e2[:-1]))))
+
+    def test_a_face_optimum_is_reported_exactly(self):
+        fit = self._fit(40)
+        e2 = fit.garch_eps * fit.garch_eps
+        assert fit.params["alpha"] == (0.0,)
+        assert fit.params["omega"] == e2.mean()
+        assert fit.converged and fit.flags == ()
+        assert np.all(fit.conditional_sd == np.sqrt(e2.mean()))
+        # Before the face rule this fit crawled 24 iterations to alpha = 7.9e-9 at this log-likelihood.
+        assert fit.loglik >= float.fromhex("-0x1.570063b2b881bp+7")
+        assert self._face_score(fit.garch_eps) >= 0.0
+
+    def test_block_rows_equal_lone_fits(self):
+        # Face and interior rows alternate.
+        seeds = [seed for pair in zip(self.FACE_SEEDS, self.INTERIOR_SEEDS) for seed in pair]
+        rows = np.array([simulate(self.SPEC, 200, seed) for seed in seeds])
+        block = fit_ar_garch_block(rows, 1, 1, 0, intercept=False)
+        lone = [self._fit(seed) for seed in seeds]
+        assert [fit.params["alpha"] == (0.0,) for fit in lone] == [True, False] * 4
+        assert [_fit_bits(fit) for fit in block] == [_fit_bits(fit) for fit in lone]
+
+    def test_a_row_whose_kkt_fails_never_takes_the_face(self, monkeypatch):
+        fit = self._fit(67)
+        assert self._face_score(fit.garch_eps) < 0.0
+        assert 0.0 < fit.params["alpha"][0] < fitting._FACE_MASS
+        # With every alpha mass small enough, only the KKT check keeps the run off the face.
+        monkeypatch.setattr(fitting, "_FACE_MASS", 1.0)
+        assert _fit_bits(self._fit(67)) == _fit_bits(fit)
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_minus_infinite_logits_give_zero_weights(self, b):
+        x = np.concatenate(([np.log(1.7)], np.full(b, -np.inf)))
+        omega, weights = _omega_weights(x)
+        assert omega == np.exp(np.log(1.7))
+        assert np.all(weights == 0.0)
+        omega, alpha, beta = _unpack_garch(np.concatenate((x, [0.5])), b, 1)
+        assert np.all(alpha == 0.0) and 0.0 < beta[0] < 1.0
 
 
 _SUBNORMALS = (5e-324, -5e-324, 1e-310, -2.2e-308)

@@ -380,6 +380,33 @@ class TestTableSerialization:
             again.standard_error("Cm", 100, 10, 0.05)
 
 
+class TestGeneratorRootsOnce:
+    """An mc call validates its generator in three places; the lag-polynomial roots are found once."""
+
+    CONFIG = {
+        "schema": 1,
+        "generator": {"model": {"kind": "arma_garch", "arma": {"kind": "arma", "phi": [0.2718], "theta": [0.1414]},
+                                "garch": {"kind": "garch", "omega": 0.2, "alpha": [0.2, 0.2]}}},
+        "fitter": {"kind": "ar_garch", "p": 1, "b": 1, "a": 0, "intercept": False},
+        "n": [200], "m": [6], "replications": 2, "statistics": ["Cm", "Lb"],
+    }
+
+    def test_one_roots_computation_per_polynomial(self, monkeypatch):
+        calls = []
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: calls.append(tuple(p)) or roots(p))
+        run_experiment(experiment_from_dict(self.CONFIG), workers=1)
+        # The AR and the MA polynomial, once each.
+        assert len(calls) == len(set(calls)) == 2
+
+    def test_a_bad_spec_still_fails_before_the_first_replicate(self):
+        bad = dict(self.CONFIG, generator={"model": {"kind": "arma", "phi": [1.25]}})
+        with pytest.raises(InvalidSpec):
+            experiment_from_dict(bad)
+        with pytest.raises(InvalidSpec):
+            run_experiment(_small_experiment(generator=ModelSpec(model=Arma(phi=(1.25,)))), workers=1)
+
+
 class TestExperimentConfig:
     def test_round_trip(self):
         exp = _small_experiment()
