@@ -45,9 +45,13 @@ BLOCKS:
   interpreter's own time from before the import to the command's end, and
   ``peak_rss_mb`` its peak resident memory.
 - ``mc_call``: for each workload of ``WORKLOADS``, ``portmanteau mc`` on one
-  worker for one call of the benchmark's size, as bench/run.py makes it: an
-  in-process ``cli.main`` call after one warm-up call, writing its result
-  files to a temporary directory; ``ms_per_call`` is its time.
+  worker for the first ``repeat`` calls of bench/run.py's timed loop at
+  ``--seed 4242`` (master seeds ``batch_seed(4242, i)``), each as the
+  benchmark makes it: an in-process ``cli.main`` call, after one warm-up
+  call, writing its result files over the last call's in a temporary
+  directory. Each seed's call is timed on its own; ``ms_per_call`` is the
+  median of their best times, so calls slower or faster than the first
+  count alike.
 
 Each time is the best of the layer's ``repeat`` calls. Each ``--tree
 LABEL=SRC`` loads the package found in SRC under its own module name, so
@@ -73,6 +77,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -274,21 +279,23 @@ def _startup_cell(pkg, command: str, workload: str):
 def _mc_call_cell(pkg, workload: str):
     cli = importlib.import_module(f"{pkg.__name__}.cli")
     tmp = tempfile.TemporaryDirectory()
-    argv = ["mc", "--config", json.dumps(WORKLOADS[workload]), "--workers", "1", "--out", f"{tmp.name}/mc"]
+    # The master seeds of the first calls of bench/run.py's timed loop at --seed 4242, one call each.
+    seeds = [_BENCH.batch_seed(4242, i) for i in range(LAYERS["mc_call"].repeat)]
+    configs = [json.dumps({**WORKLOADS[workload], "master_seed": seed}) for seed in seeds]
 
-    def call():
+    def call(config: str):
         with contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
+            code = cli.main(["mc", "--config", config, "--workers", "1", "--out", f"{tmp.name}/mc"])
         if code:
             raise RuntimeError(f"mc on {workload} exited with {code}")
 
-    call()
+    call(configs[0])
 
     def fields(best: list) -> dict:
         tmp.cleanup()
-        return {"ms_per_call": round(1e3 * best[0], 3)}
+        return {"ms_per_call": round(1e3 * float(np.median(best)), 3)}
 
-    return [call], fields
+    return [functools.partial(call, config) for config in configs], fields
 
 
 class Layer(NamedTuple):
@@ -365,8 +372,10 @@ LAYERS = {
         _mc_call_cell,
         {"ratio": "ms_per_call"},
         15,
-        "ms_per_call: an in-process portmanteau mc call on one worker, after a warm-up call, as bench/run.py makes "
-        "it (its config and replicates per call, master seed 4242), result files in a temporary directory",
+        "ms_per_call: the median over master seeds batch_seed(4242, i), i below the number of calls (the first "
+        "calls of bench/run.py --seed 4242), of each seed's best in-process portmanteau mc call on one worker, "
+        "after a warm-up call, as bench/run.py makes it (its config and replicates per call), result files "
+        "rewritten in a temporary directory",
     ),
 }
 

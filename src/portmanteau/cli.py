@@ -22,7 +22,8 @@ from .errors import ConfigError, CsvFormatError, InvalidSpec, NonFinite, Portman
 from .fitting import FitResult
 from .models import simulate, spec_from_dict
 from .montecarlo import (
-    _FITTERS, FitterSpec, check_statistics, evaluate_fit, experiment_from_dict, fit_series, run_experiment,
+    _FITTERS, FitterSpec, check_statistics, csv_text, evaluate_fit, experiment_from_dict, fit_series, run_experiment,
+    write_text,
 )
 
 DEFAULT_TEST_STATS = ("Cm", "Q12", "Dt22", "Q22", "Qw22", "Mw22", "Lb", "Lbw")
@@ -172,11 +173,8 @@ def _cmd_simulate(args) -> int:
     except NonFinite as exc:  # the spec's parameters are explosive: malformed input
         raise InvalidSpec(str(exc)) from exc
     start = datetime.date(2000, 1, 3)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "return"])
-        for t, value in enumerate(z):
-            writer.writerow([(start + datetime.timedelta(days=t)).isoformat(), repr(float(value))])
+    rows = [[(start + datetime.timedelta(days=t)).isoformat(), repr(float(value))] for t, value in enumerate(z)]
+    write_text(args.out, csv_text([["date", "return"], *rows]))
     _log(f"wrote {z.size} observations to {args.out}")
     return 0
 
@@ -271,15 +269,11 @@ def _cmd_mc(args) -> int:
 
 def _write_curves(table, exp, path) -> None:
     """Rejection frequency against lag order, one curve per (statistic, n, level)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["statistic", "n", "level", "m", "frequency"])
-        for name in exp.statistics:
-            for n in exp.n_list:
-                for level in exp.levels:
-                    for m in exp.m_list:
-                        freq = table.frequency(name, n, m, level)
-                        writer.writerow([name, n, repr(float(level)), m, repr(float(freq))])
+    rows = [
+        [name, n, repr(float(level)), m, repr(float(table.frequency(name, n, m, level)))]
+        for name in exp.statistics for n in exp.n_list for level in exp.levels for m in exp.m_list
+    ]
+    write_text(path, csv_text([["statistic", "n", "level", "m", "frequency"], *rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from .errors import LagTooLarge, NotPositiveDefinite
+from .models import linalg
 from .residuals import LagCorrelations, ResidualSeries, lag_correlations, standardization_factors
 
 _KINDS = {(1, 1): "R11", (1, 2): "R12", (2, 1): "R21", (2, 2): "R22"}
@@ -140,6 +140,7 @@ def _logdet_rows(matrices: np.ndarray) -> list[tuple[float, int]]:
     1-based order of the first non-positive leading minor, and such a row's
     log-determinant is 0.
     """
+    dpotrf = linalg.lapack.dpotrf
     diagonals = np.ones(matrices.shape[:2])
     info = []
     for a, diagonal in zip(matrices, diagonals):

@@ -49,7 +49,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import chdtrc, gammaincc
 
 from .corrmat import _check_order, block_logdet, toeplitz_logdet
 from .errors import (
@@ -61,6 +60,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularToeplitz,
 )
+from .models import special
 from .residuals import CorrSequence, LagCorrelations, ResidualSeries, garch_standardized_sq_acfs, lag_correlations
 
 
@@ -140,7 +140,7 @@ def _pvalue(stat: float, dist: tuple) -> float:
         return 1.0
     if x == math.inf:
         return 0.0
-    return float(chdtrc(dist[1], x) if dist[0] == "chi2" else gammaincc(dist[1], x))
+    return float(special.chdtrc(dist[1], x) if dist[0] == "chi2" else special.gammaincc(dist[1], x))
 
 
 # ---------------------------------------------------------------------------

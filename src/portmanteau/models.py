@@ -12,8 +12,12 @@ and equals, bit for bit, the path that generator gives as a block of one.
 (``_to_dict``/``_from_dict``) reads and writes every spec from its dataclass
 fields, so a new model family is one class plus one tag.
 
-``signal``, the package's one ``scipy.signal``, loads at the first ``lfilter``
-call, so a run that never filters skips its 0.85 s import.
+``signal``, ``special`` and ``linalg`` are the package's one binding each of
+``scipy.signal``, ``scipy.special`` and ``scipy.linalg``. Each is a lazy
+module that loads at its first use: the first ``lfilter`` call, the first
+p-value and the first Cholesky factor. Importing the package and validating a
+config load none of them, and take 0.11 s where the eager imports took 0.28 s
+(``BENCH_startup.json``).
 """
 
 from __future__ import annotations
@@ -30,12 +34,15 @@ from .errors import ConfigError, InvalidSpec, NonFinite
 
 # A lazy module runs its package init at its first attribute read. One already
 # in sys.modules, loaded or lazy, is reused, so the process never holds two.
-signal = sys.modules.get("scipy.signal")
-if signal is None:
-    _spec = importlib.util.find_spec("scipy.signal")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    signal = sys.modules["scipy.signal"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(signal)
+# Each name is a package: find_spec of a dotted name imports its parent eagerly.
+_LAZY = ("scipy.signal", "scipy.special", "scipy.linalg")
+for _name in _LAZY:
+    if _name not in sys.modules:
+        _spec = importlib.util.find_spec(_name)
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        sys.modules[_name] = importlib.util.module_from_spec(_spec)
+        _spec.loader.exec_module(sys.modules[_name])
+signal, special, linalg = (sys.modules[_name] for _name in _LAZY)
 
 DEFAULT_BURN_IN = 500
 # The shortest path the simulators produce.

@@ -25,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_discrete_lyapunov
 
 from .corrmat import _as_array, logdet_pd
 from .errors import LagOutOfRange, NonInvertible, NonStationary, NotPositiveDefinite
-from .models import _check_roots, _lag_roots, signal
+from .models import _check_roots, _lag_roots, linalg, signal
 from .residuals import (
     CorrSequence,
     ResidualSeries,
@@ -126,10 +125,10 @@ def schur_logdet(block) -> float:
     r12 = a[:d, d:]
     r22 = a[d:, d:]
     try:
-        factor = cho_factor(r11, lower=True)
+        factor = linalg.cho_factor(r11, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own type
         raise NotPositiveDefinite(0) from exc
-    complement = r22 - r12.T @ cho_solve(factor, r12)
+    complement = r22 - r12.T @ linalg.cho_solve(factor, r12)
     logdet_r11 = float(2.0 * np.sum(np.log(np.diag(factor[0]))))
     return logdet_r11 + logdet_pd(complement)
 
@@ -223,7 +222,7 @@ def _exact_gram(ar_style: np.ndarray) -> np.ndarray:
     noise[0, 0] = 1.0
     if p == 1:
         return np.array([[1.0 / (1.0 - ar_style[0] ** 2)]])
-    return solve_discrete_lyapunov(companion, noise)
+    return linalg.solve_discrete_lyapunov(companion, noise)
 
 
 _GRAM_TERMS = 5000

@@ -314,6 +314,28 @@ class TestMcCommand:
         }
         assert set(from_csv.values()) == set(from_json.values())
 
+    def test_a_rerun_over_longer_result_files_leaves_its_own_bytes(self, tmp_path, capsys):
+        config = {
+            "schema": 1,
+            "generator": {"model": {"kind": "arma", "phi": [0.1]}, "burn_in": 100},
+            "fitter": {"kind": "ar", "p": 1, "intercept": False},
+            "n": [60, 80],
+            "m": [3, 5],
+            "replications": 4,
+            "statistics": ["Cm", "Q11", "Q12"],
+            "master_seed": 5,
+        }
+        long_cfg = _write(tmp_path / "long.json", json.dumps(config))
+        short_cfg = _write(tmp_path / "short.json", json.dumps({**config, "n": [60], "statistics": ["Q11"]}))
+        for cfg, out in ((long_cfg, "over"), (short_cfg, "over"), (short_cfg, "fresh")):
+            assert _run(["mc", "--config", cfg, "--workers", "1", "--out", str(tmp_path / out)], capsys)[0] == 0
+        for suffix in (".csv", "_curves.csv"):
+            assert (tmp_path / f"over{suffix}").read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
+        # The JSON holds the call's wall time: its bytes are those of its own payload, and nothing follows.
+        text = (tmp_path / "over.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2)
+        assert json.loads(text)["cells"] == json.loads((tmp_path / "fresh.json").read_text(encoding="utf-8"))["cells"]
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = _write(tmp_path / "exp.json", json.dumps({"schema": 1, "bogus": True}))
         code, _, _ = _run(["mc", "--config", cfg, "--out", str(tmp_path / "x")], capsys)

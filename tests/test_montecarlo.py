@@ -380,6 +380,19 @@ class TestTableSerialization:
             again.standard_error("Cm", 100, 10, 0.05)
 
 
+    def test_a_shorter_table_over_a_longer_file_leaves_its_own_bytes(self, tmp_path):
+        long = McTable(cells={("Cm", n, 10, 0.05): 0.04 for n in range(100, 140)}, replications=1000)
+        short = McTable(cells={("Q11", 100, 5, 0.1): 0.125}, replications=8, elapsed=0.5)
+        for write in (McTable.to_csv, McTable.to_json):
+            fresh, over = tmp_path / f"fresh_{write.__name__}", tmp_path / f"over_{write.__name__}"
+            write(short, fresh)
+            write(long, over)
+            assert over.stat().st_size > fresh.stat().st_size
+            write(short, over)
+            assert over.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "over_to_csv").read_bytes() == b"statistic,n,m,level,frequency\r\nQ11,100,5,0.1,0.125\r\n"
+
+
 class TestGeneratorRootsOnce:
     """An mc call validates its generator in three places; the lag-polynomial roots are found once."""
 

@@ -1,13 +1,16 @@
-"""Start-up: ``scipy.signal`` loads at the first ``lfilter`` call, never at import.
+"""Start-up: ``scipy.signal``, ``scipy.special`` and ``scipy.linalg`` load at their first use, never at import.
 
-``models.signal`` is the package's one binding of ``scipy.signal``, a lazy
-module. Each behaviour is checked in a fresh interpreter, because the test
-process has long since loaded the module. A bound but unloaded module is in
-``sys.modules`` while its submodules, which its package init imports, are not.
+``models.signal``, ``models.special`` and ``models.linalg`` are the package's
+one binding each of them, lazy modules: ``scipy.signal`` loads at the first
+``lfilter`` call, the other two at the first p-value and Cholesky factor. Each
+behaviour is checked in a fresh interpreter, because the test process has long
+since loaded the modules. A bound but unloaded module is in ``sys.modules``
+while its submodules, which its package init imports, are not.
 """
 
 import ast
 import datetime
+import importlib.util
 import json
 import os
 import subprocess
@@ -122,3 +125,69 @@ def test_scipy_signal_has_one_lazy_binding():
                 dynamic = _calls(node) & {"__import__", "import_module", "find_spec", "LazyLoader"}
                 assert not dynamic, f"{path.name}: {sorted(dynamic)} inside a function"
     assert naming == {"models.py"}
+
+
+# The first p-values and Cholesky factors of a process, as each report's repr: Cm and D22 read
+# dpotrf and gammaincc, Q11 chdtrc.
+REPORTS = """
+import numpy as np
+from portmanteau import cm_test, evaluate_statistics, make_residual_series
+series = make_residual_series(np.random.default_rng(5).standard_normal(300))
+out["reports"] = [repr(cm_test(series, 10))]
+out["reports"] += [repr(report) for report in evaluate_statistics(["Q11", "D22"], series, 10).values()]
+"""
+LAZY = ("scipy.signal.", "scipy.special.", "scipy.linalg.")
+
+
+def _loaded() -> str:
+    """Code listing the loaded submodules of the lazy packages, and scipy's array-API layer, as ``loaded``."""
+    return f"loaded = sorted(k for k in sys.modules if k.startswith({LAZY!r}) or k == 'scipy._lib._array_api')\n"
+
+
+def test_import_and_validate_load_no_lazy_package(monkeypatch):
+    """The benchmark's import-and-validate of its three configs loads none of the three; a first cm_test does."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # restored after the test; loading bench/run.py sets them
+    bench = SRC.parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))  # bench/run.py imports bench/replay.py
+    spec = importlib.util.spec_from_file_location("_startup_bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    configs = [run.experiment_config(w, w.batch, 4242) for w in run.WORKLOADS.values()]
+    code = f"""
+import portmanteau
+from portmanteau.montecarlo import experiment_from_dict
+for config in json.loads(sys.argv[1]):
+    experiment_from_dict(config)
+{_loaded()}out["after_setup"] = loaded
+{REPORTS}
+{_loaded()}out["after_test"] = loaded
+"""
+    lazy = _fresh(code, json.dumps(configs))
+    assert len(configs) == 3 and lazy["after_setup"] == []
+    assert any(name.startswith("scipy.special.") for name in lazy["after_test"])
+    assert any(name.startswith("scipy.linalg.") for name in lazy["after_test"])
+
+    # Both packages imported before this one: the bindings are those modules, and every report is the same.
+    first = (
+        "import scipy.special, scipy.linalg\nimport portmanteau\n"
+        "out['same_module'] = (portmanteau.models.special, portmanteau.models.linalg) == (scipy.special, scipy.linalg)\n"
+    )
+    eager = _fresh(first + REPORTS)
+    assert eager["same_module"]
+    assert eager["reports"] == lazy["reports"]
+
+
+def test_no_module_imports_scipy_special_or_linalg():
+    """models binds them lazily; every other use reads that binding."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(name.startswith(("scipy.special", "scipy.linalg")) for name in names), path.name
