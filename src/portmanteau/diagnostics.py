@@ -11,30 +11,38 @@ tests (M families) and the Li-Mak fitted-variance tests, the pair
 ``VARIANCE_STATISTICS`` (Lb and its weighted form Lbw), which read the
 standardized squared residuals e_t^2/s_t^2 of a fit's conditional variances.
 
-Every statistic but the Li-Mak pair is one row of ``_TABLE``; a new
-correlation statistic is one more row. The columns are:
+Every statistic is one row: the 18 correlation statistics are the rows of
+``_TABLE`` and the Li-Mak pair the rows of ``_VARIANCE_ROWS``, joined in
+``_ROWS``. A new statistic is one more row. The columns are:
 
 - ``source``: ``rho`` (rho_ij(k), k = 1..m), ``pacf`` (the partial
-  autocorrelations of rho_ii), ``toeplitz`` (log|R_ij(m)|) or ``block``
-  (log|R(m)| of the block matrix, which spans all four kinds);
-- ``i``, ``j``: the powers of the leading and of the lagged residual. The order
-  correction p+q applies only when i = j = 1, so the block row is (1, 1);
-- ``standardized``: the Toeplitz entries carry the factor sqrt((n+2)/(n-k));
+  autocorrelations of rho_ii), ``toeplitz`` (log|R_ij(m)|), ``block``
+  (log|R(m)| of the block matrix, which spans all four kinds), all read from a
+  lag kernel of the residuals, or ``variance`` (the autocorrelations of a
+  fit's e_t^2/s_t^2, read from its ``_Variance``);
+- ``i``, ``j``: the powers of the leading and of the lagged residual;
 - ``form``: ``bp`` n sum x_k^2, ``lb`` n(n+2) sum x_k^2/(n-k), ``lbw`` the
-  same with triangular weights (m-k+1)/m, ``det`` n[1 - |R|^(1/m)] or
-  ``logdet`` -(n/(m+1)) log|R|;
+  same with triangular weights (m-k+1)/m, ``bpw`` the bp sum with Li-Mak's
+  weights (m-k+b+1)/m, ``det`` n[1 - |R|^(1/m)] or ``logdet``
+  -(n/(m+1)) log|R|;
 - ``null``: ``chi2`` on m minus the correction degrees of freedom, the gamma
   matching triangular weights over m (``tri_m``) or m+1 (``tri_m+1``), or the
-  closed-form Cm gamma (``cm``).
+  closed-form Cm gamma (``cm``);
+- ``correction``: the null's correction, ``arma`` (the fit's p+q, for the rows
+  that read residual autocorrelations, the block row included), ``none`` or
+  ``variance`` (b+a, the fitted variance orders);
+- ``standardized``: the Toeplitz entries carry the factor sqrt((n+2)/(n-k)).
 
-Every :class:`TestReport`, Li-Mak's included, comes from one evaluator,
-``_evaluate``: it reads a statistic's input, applies its form and takes the
-p-value from its null. An input whose Toeplitz or block matrix is not positive
-definite, or whose standardized squared residuals are constant, gives the
-degenerate report instead. Each public statistic function evaluates its row
-on a residual series or on its lag kernel
-(:class:`~portmanteau.residuals.LagCorrelations`) at any largest lag >= m;
-``evaluate_statistics`` hands one kernel to all of them.
+Every :class:`TestReport` comes from one evaluator, ``_row_test`` through
+``_evaluate``: it checks 1 <= m < n/2 on the row's source, reads the row's
+input, applies its form and takes the p-value from its null. An input whose
+Toeplitz or block matrix is not positive definite, or whose standardized
+squared residuals are constant, gives the degenerate report instead. Each
+public statistic function evaluates its row on a residual series or on its lag
+kernel (:class:`~portmanteau.residuals.LagCorrelations`) at any largest lag
+>= m, and ``li_mak`` on one fit's variances; ``evaluate_lags`` hands one
+source of each kind to every row at every lag order, and
+``evaluate_statistics`` is its one-lag case.
 
 ``null_distribution`` gives every statistic's null, so a caller can check
 before any data is seen that each (statistic, m) pair has one. The
@@ -66,39 +74,45 @@ from .residuals import CorrSequence, LagCorrelations, ResidualSeries, garch_stan
 
 @dataclass(frozen=True)
 class _Row:
-    """One correlation statistic of the table; the module docstring defines the columns."""
+    """One statistic of the table; the module docstring defines the columns."""
 
-    source: str  # "rho" | "pacf" | "toeplitz" | "block"
+    source: str  # "rho" | "pacf" | "toeplitz" | "block" | "variance"
     i: int
     j: int
-    form: str  # "bp" | "lb" | "lbw" | "det" | "logdet"
+    form: str  # "bp" | "lb" | "lbw" | "bpw" | "det" | "logdet"
     null: str  # "chi2" | "tri_m" | "tri_m+1" | "cm"
+    correction: str  # "arma" | "none" | "variance"
     standardized: bool = False
 
 
 _TABLE = {
-    "Cm": _Row("block", 1, 1, "logdet", "cm"),
-    "Q_BP": _Row("rho", 1, 1, "bp", "chi2"),
-    "Q11": _Row("rho", 1, 1, "lb", "chi2"),
-    "Q22": _Row("rho", 2, 2, "lb", "chi2"),
-    "Q12": _Row("rho", 1, 2, "lb", "chi2"),
-    "Q21": _Row("rho", 2, 1, "lb", "chi2"),
-    "Qt12": _Row("rho", 1, 2, "bp", "chi2"),
-    "Qt21": _Row("rho", 2, 1, "bp", "chi2"),
-    "D11": _Row("toeplitz", 1, 1, "det", "tri_m"),
-    "D22": _Row("toeplitz", 2, 2, "det", "tri_m"),
-    "Dt11": _Row("toeplitz", 1, 1, "logdet", "tri_m+1", standardized=True),
-    "Dt22": _Row("toeplitz", 2, 2, "logdet", "tri_m+1", standardized=True),
-    "M11": _Row("pacf", 1, 1, "lb", "chi2"),
-    "M22": _Row("pacf", 2, 2, "lb", "chi2"),
-    "Qw11": _Row("rho", 1, 1, "lbw", "tri_m"),
-    "Qw22": _Row("rho", 2, 2, "lbw", "tri_m"),
-    "Mw11": _Row("pacf", 1, 1, "lbw", "tri_m"),
-    "Mw22": _Row("pacf", 2, 2, "lbw", "tri_m"),
+    "Cm": _Row("block", 1, 1, "logdet", "cm", "arma"),
+    "Q_BP": _Row("rho", 1, 1, "bp", "chi2", "arma"),
+    "Q11": _Row("rho", 1, 1, "lb", "chi2", "arma"),
+    "Q22": _Row("rho", 2, 2, "lb", "chi2", "none"),
+    "Q12": _Row("rho", 1, 2, "lb", "chi2", "none"),
+    "Q21": _Row("rho", 2, 1, "lb", "chi2", "none"),
+    "Qt12": _Row("rho", 1, 2, "bp", "chi2", "none"),
+    "Qt21": _Row("rho", 2, 1, "bp", "chi2", "none"),
+    "D11": _Row("toeplitz", 1, 1, "det", "tri_m", "arma"),
+    "D22": _Row("toeplitz", 2, 2, "det", "tri_m", "none"),
+    "Dt11": _Row("toeplitz", 1, 1, "logdet", "tri_m+1", "arma", standardized=True),
+    "Dt22": _Row("toeplitz", 2, 2, "logdet", "tri_m+1", "none", standardized=True),
+    "M11": _Row("pacf", 1, 1, "lb", "chi2", "arma"),
+    "M22": _Row("pacf", 2, 2, "lb", "chi2", "none"),
+    "Qw11": _Row("rho", 1, 1, "lbw", "tri_m", "arma"),
+    "Qw22": _Row("rho", 2, 2, "lbw", "tri_m", "none"),
+    "Mw11": _Row("pacf", 1, 1, "lbw", "tri_m", "arma"),
+    "Mw22": _Row("pacf", 2, 2, "lbw", "tri_m", "none"),
 }
 
+# The Li-Mak pair, Lb and its weighted form Lbw, read from a fit's conditional variances.
 VARIANCE_STATISTICS = ("Lb", "Lbw")
-ALL_STATISTICS = (*_TABLE, *VARIANCE_STATISTICS)
+_VARIANCE_ROWS = {
+    name: _Row("variance", 2, 2, form, "chi2", "variance") for name, form in zip(VARIANCE_STATISTICS, ("bp", "bpw"))
+}
+_ROWS = {**_TABLE, **_VARIANCE_ROWS}
+ALL_STATISTICS = tuple(_ROWS)
 
 
 @dataclass(frozen=True)
@@ -216,17 +230,14 @@ def null_distribution(
 ) -> tuple[int, tuple]:
     """(correction, dist) of statistic ``name``'s null at lag order m.
 
-    A table row takes the fit's order correction only when it reads residual
-    autocorrelations (i = j = 1); the Lb family takes b + a from the fitted
-    variance orders. Raises :class:`NonPositiveDf` or :class:`InvalidOrder`
+    The row's ``correction`` column picks the correction: the fit's order
+    correction (``arma``), none, or b + a from the fitted variance orders
+    (``variance``). Raises :class:`NonPositiveDf` or :class:`InvalidOrder`
     when the correction leaves no null at this m, on every call: the result
     is memoized, a raised error is not.
     """
-    if name in VARIANCE_STATISTICS:
-        correction = garch_orders[0] + garch_orders[1]
-        return correction, _chi2_dist(m, correction)
-    row = _TABLE[name]
-    correction = order_correction if row.i == row.j == 1 else 0
+    row = _ROWS[name]
+    correction = {"arma": order_correction, "none": 0, "variance": garch_orders[0] + garch_orders[1]}[row.correction]
     if row.null == "chi2":
         return correction, _chi2_dist(m, correction)
     if row.null == "cm":
@@ -251,6 +262,21 @@ def _weighted_lb(x: np.ndarray, n: int, m: int, w=1.0) -> float:
     return n * (n + 2.0) * float(np.sum(w * x * x / (n - k)))
 
 
+def _triangular(m: int, shift: float) -> np.ndarray:
+    """Weights (m-k+shift)/m, k = 1..m: shift 1 for the weighted Q and M forms, b+1 for Li-Mak's."""
+    return (m - np.arange(1, m + 1) + shift) / m
+
+
+def _lbw(x: np.ndarray, n: int, m: int) -> float:
+    """The Ljung-Box sum with triangular weights w_k = (m-k+1)/m."""
+    return _weighted_lb(x, n, m, _triangular(m, 1.0))
+
+
+def _bpw(x: np.ndarray, n: int, m: int, b: int) -> float:
+    """The bp sum with Li-Mak's weights (m-k+b+1)/m, b the fit's first variance order."""
+    return n * float(_triangular(m, b + 1.0) @ (x * x))
+
+
 def _det(logdet: float, n: int, m: int) -> float:
     """n [1 - |R|^(1/m)] from log|R|."""
     return n * (1.0 - np.exp(logdet / m))
@@ -261,27 +287,44 @@ def _logdet(logdet: float, n: int, m: int) -> float:
     return -(n / (m + 1.0)) * logdet
 
 
-def _lbw(x: np.ndarray, n: int, m: int) -> float:
-    """The Ljung-Box sum with triangular weights w_k = (m-k+1)/m."""
-    return _weighted_lb(x, n, m, (m - np.arange(1, m + 1) + 1.0) / m)
+# Each form maps (input, n, m) to the statistic; bpw also takes b, which its row's _Variance source carries.
+_FORMS = {"bp": _bp, "lb": _weighted_lb, "lbw": _lbw, "bpw": _bpw, "det": _det, "logdet": _logdet}
 
 
-_FORMS = {"bp": _bp, "lb": _weighted_lb, "lbw": _lbw, "det": _det, "logdet": _logdet}
+class _Variance:
+    """A fit's standardized squared residuals e_t^2/s_t^2: the source of the variance rows.
+
+    Their autocorrelations come from one ``garch_standardized_sq_acfs`` call at
+    the largest lag M, made at the first read and sliced for every m <= M, bit
+    for bit the values computed at m, because no lag's value depends on M. A
+    degenerate input raises at every read.
+    """
+
+    def __init__(self, eps, sigma2, max_lag: int, b: int):
+        self.eps, self.sigma2, self.max_lag, self.b, self.n = eps, sigma2, max_lag, b, len(eps)
+        self._acfs = None
+
+    def acfs(self, m: int) -> np.ndarray:
+        if self._acfs is None:
+            self._acfs = garch_standardized_sq_acfs(self.eps, self.sigma2, self.max_lag)
+        return self._acfs[:m]
 
 
-def _read(row: _Row, corr: LagCorrelations, m: int):
+def _read(row: _Row, source: LagCorrelations | _Variance, m: int):
     """A row's input at lag order m: a correlation vector or a log-determinant."""
     if row.source == "rho":
-        return corr.rho(row.i, row.j, m)[1:]
+        return source.rho(row.i, row.j, m)[1:]
     if row.source == "pacf":
-        return corr.pacf(row.i, m)
+        return source.pacf(row.i, m)
     if row.source == "toeplitz":
-        return toeplitz_logdet(corr, row.i, row.j, m, row.standardized)
-    return block_logdet(corr, m)
+        return toeplitz_logdet(source, row.i, row.j, m, row.standardized)
+    if row.source == "variance":
+        return source.acfs(m)
+    return block_logdet(source, m)
 
 
-def _evaluate(name: str, form, read, n: int, m: int, null: tuple[int, tuple]) -> TestReport:
-    """Statistic ``name``, ``form(read(), n, m)``, with its p-value: the one maker of a :class:`TestReport`.
+def _evaluate(name: str, statistic, m: int, null: tuple[int, tuple]) -> TestReport:
+    """Statistic ``name``, the value of ``statistic()``, with its p-value: the one maker of a :class:`TestReport`.
 
     ``null`` is the statistic's ``null_distribution``, computed before the input is read. An
     input whose matrix is not positive definite, or whose variance is zero, gives the
@@ -289,24 +332,25 @@ def _evaluate(name: str, form, read, n: int, m: int, null: tuple[int, tuple]) ->
     """
     correction, dist = null
     try:
-        stat = float(form(read(), n, m))
+        stat = float(statistic())
     except (SingularToeplitz, NotPositiveDefinite, DegenerateVariance):
         return TestReport(name, math.nan, m, correction, dist, p_value=0.0, degenerate=True)
     return TestReport(name, stat, m, correction, dist, _pvalue(stat, dist))
 
 
-def _table_test(
-    name: str, series: ResidualSeries | LagCorrelations, m: int, order_correction: int, row: _Row | None = None
+def _row_test(
+    name: str, source: LagCorrelations | _Variance, m: int, order_correction: int = 0,
+    garch_orders: tuple[int, int] = (0, 0), row: _Row | None = None,
 ) -> TestReport:
-    """Statistic ``name`` (its table row unless ``row`` is given) on a series or its kernel.
+    """Statistic ``name`` (its row unless ``row`` is given) on its source: a lag kernel, or a fit's variances.
 
-    Every row needs 1 <= m < n/2, the rule the Toeplitz and block builders apply.
+    Every row needs 1 <= m < n/2 on its source's n, the rule corrmat's Toeplitz and block matrices apply.
     """
-    row = _TABLE[name] if row is None else row
-    _check_order(series.n, m)
-    corr = lag_correlations(series, m)
-    null = null_distribution(name, m, order_correction)
-    return _evaluate(name, _FORMS[row.form], lambda: _read(row, corr, m), corr.n, m, null)
+    row = _ROWS[name] if row is None else row
+    _check_order(source.n, m)
+    null = null_distribution(name, m, order_correction, garch_orders)
+    args = (source.b,) if row.form == "bpw" else ()  # Li-Mak's weights read the fit's b
+    return _evaluate(name, lambda: _FORMS[row.form](_read(row, source, m), source.n, m, *args), m, null)
 
 
 def _sequence_test(name: str, form, acf: CorrSequence, n: int, m: int | None, order_correction: int) -> TestReport:
@@ -316,7 +360,7 @@ def _sequence_test(name: str, form, acf: CorrSequence, n: int, m: int | None, or
     """
     m = acf.m if m is None else m
     null = null_distribution("Q" + acf.kind[3:5], m, order_correction)
-    return _evaluate(name, form, lambda: acf.values[:m], n, m, null)
+    return _evaluate(name, lambda: form(acf.values[:m], n, m), m, null)
 
 
 def _which(family: str, which: str) -> str:
@@ -350,21 +394,21 @@ def weighted_q(
     series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
 ) -> TestReport:
     """Triangularly weighted version of the per-lag-weighted quadratic form."""
-    return _table_test(_which("Qw", which), series, m, order_correction)
+    return _row_test(_which("Qw", which), lag_correlations(series, m), m, order_correction)
 
 
 def monti(
     series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
 ) -> TestReport:
     """n(n+2) sum (n-k)^-1 pi_k^2 on residual or squared-residual PACF."""
-    return _table_test(_which("M", which), series, m, order_correction)
+    return _row_test(_which("M", which), lag_correlations(series, m), m, order_correction)
 
 
 def weighted_m(
     series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
 ) -> TestReport:
     """Triangularly weighted PACF quadratic form; same gamma null as weighted_q."""
-    return _table_test(_which("Mw", which), series, m, order_correction)
+    return _row_test(_which("Mw", which), lag_correlations(series, m), m, order_correction)
 
 
 def pena_d(
@@ -376,14 +420,15 @@ def pena_d(
 ) -> TestReport:
     """n [1 - |R_ii(m)|^(1/m)] on the residual or squared-residual matrix."""
     name = _which("D", which)
-    return _table_test(name, series, m, order_correction, replace(_TABLE[name], standardized=standardized))
+    row = replace(_TABLE[name], standardized=standardized)
+    return _row_test(name, lag_correlations(series, m), m, order_correction, row=row)
 
 
 def pena_dtilde(
     series: ResidualSeries | LagCorrelations, m: int, order_correction: int = 0, which: str = "residual"
 ) -> TestReport:
     """-(n/(m+1)) log|R_ii(m)| with per-lag standardized entries."""
-    return _table_test(_which("Dt", which), series, m, order_correction)
+    return _row_test(_which("Dt", which), lag_correlations(series, m), m, order_correction)
 
 
 def cm_statistic(series: ResidualSeries | LagCorrelations, m: int) -> float:
@@ -397,7 +442,7 @@ def cm_statistic(series: ResidualSeries | LagCorrelations, m: int) -> float:
 
 def cm_test(series: ResidualSeries | LagCorrelations, m: int, p_plus_q: int = 0) -> TestReport:
     """The block log-determinant statistic with its gamma null."""
-    return _table_test("Cm", series, m, p_plus_q)
+    return _row_test("Cm", lag_correlations(series, m), m, p_plus_q)
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +450,15 @@ def cm_test(series: ResidualSeries | LagCorrelations, m: int, p_plus_q: int = 0)
 # ---------------------------------------------------------------------------
 
 
-def li_mak(eps, sigma2, m: int, b: int, a: int, weighted: bool = False, acfs=None) -> TestReport:
-    """Quadratic form on standardized squared-residual autocorrelations.
+def li_mak(eps, sigma2, m: int, b: int, a: int, weighted: bool = False) -> TestReport:
+    """Quadratic form on standardized squared-residual autocorrelations: the Lb (or Lbw) row on one fit.
 
     ``sigma2`` are the fitted conditional variances; the correction b+a is the
     number of fitted variance-equation lag parameters. Unweighted and
-    triangularly weighted variants share the chi-square null with m-(b+a)
-    degrees of freedom.
-
-    ``acfs``, when given, is a function of no arguments giving the
-    autocorrelations at lags 1..M for some M >= m, ``garch_standardized_sq_acfs``
-    of these inputs at M; the statistic reads their first m, bit for bit the
-    values computed at m, because no lag's value depends on M.
+    triangularly weighted (m-k+b+1)/m variants share the chi-square null with
+    m-(b+a) degrees of freedom. Like every row, it needs 1 <= m < n/2, n = len(eps).
     """
-    name = "Lbw" if weighted else "Lb"
-    null = null_distribution(name, m, garch_orders=(b, a))
-    wts = (m - np.arange(1, m + 1) + (b + 1.0)) / m
-    form = (lambda x, n, m: n * float(wts @ (x * x))) if weighted else _bp
-    read = (lambda: garch_standardized_sq_acfs(eps, sigma2, m)) if acfs is None else (lambda: acfs()[:m])
-    return _evaluate(name, form, read, len(eps), m, null)
+    return _row_test("Lbw" if weighted else "Lb", _Variance(eps, sigma2, m, b), m, garch_orders=(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -431,49 +466,50 @@ def li_mak(eps, sigma2, m: int, b: int, a: int, weighted: bool = False, acfs=Non
 # ---------------------------------------------------------------------------
 
 
+def evaluate_lags(
+    names, series: ResidualSeries, m_list, order_correction: int = 0, garch_eps=None, garch_sigma2=None,
+    garch_orders: tuple[int, int] = (0, 0), correlations: LagCorrelations | None = None,
+) -> list[dict[str, TestReport]]:
+    """The requested statistics on one residual series, one dict of reports per lag order in ``m_list``.
+
+    Every row reads one source for all lag orders. The correlation rows read
+    one lag kernel of the series: ``correlations`` when given (a kernel of
+    this series at a largest lag >= max(m_list)), else one built here at
+    max(m_list). The variance rows read ``garch_eps``/``garch_sigma2``, which
+    must come from a fitted conditional-variance model, through one
+    :class:`_Variance` at max(m_list); requesting Lb/Lbw without them is an
+    error. Either way the values are bit for bit those computed at each m
+    alone. Statistics whose inputs degenerate are returned as degenerate
+    reports rather than raised.
+    """
+    max_lag = max(m_list)
+    if correlations is None:
+        correlations = LagCorrelations(series, max_lag)
+    elif correlations.series is not series:
+        raise ValueError("correlations must be the lag kernel of the same residual series")
+    orders = tuple(garch_orders)
+    fitted = garch_eps is not None and garch_sigma2 is not None
+    variance = _Variance(garch_eps, garch_sigma2, max_lag, orders[0]) if fitted else None
+    sources = {}
+    for name in names:
+        if name not in _ROWS:
+            raise InvalidSpec(f"unknown statistic {name!r}")
+        sources[name] = variance if _ROWS[name].source == "variance" else correlations
+        if sources[name] is None:
+            raise InvalidSpec(f"{name} requires fitted conditional variances")
+    return [{name: _row_test(name, src, m, order_correction, orders) for name, src in sources.items()} for m in m_list]
+
+
 def evaluate_statistics(
-    names,
-    series: ResidualSeries,
-    m: int,
-    order_correction: int = 0,
-    garch_eps=None,
-    garch_sigma2=None,
-    garch_orders: tuple[int, int] = (0, 0),
-    correlations: LagCorrelations | None = None,
-    garch_acfs=None,
+    names, series: ResidualSeries, m: int, order_correction: int = 0, garch_eps=None, garch_sigma2=None,
+    garch_orders: tuple[int, int] = (0, 0), correlations: LagCorrelations | None = None,
 ) -> dict[str, TestReport]:
-    """Compute the requested statistics at one lag order on one residual series.
+    """Compute the requested statistics at one lag order on one residual series: ``evaluate_lags`` at m alone.
 
     Every statistic reads its correlations, partial autocorrelations and
     Toeplitz entries from one lag kernel of the series, so each correlation
-    kind is computed once however many statistics use it. ``correlations``
-    passes in a kernel of this series at a largest lag >= m, built once and
-    shared by the evaluations at every lag order; without it a kernel at m is
-    built here. Either way the values are bit for bit the same.
-
-    ``garch_eps``/``garch_sigma2`` feed the Lb family and must come from a
-    fitted conditional-variance model; requesting Lb/Lbw without them is an
-    error. ``garch_acfs`` passes in their autocorrelations as ``li_mak``'s
-    ``acfs`` does, computed once and shared by every lag order; without it
-    they are computed here at m. Statistics whose correlation matrices
-    degenerate are returned as degenerate reports rather than raised.
+    kind is computed once however many statistics use it; ``correlations``
+    passes in a kernel of this series at a largest lag >= m, shared by the
+    evaluations at every lag order.
     """
-    if correlations is None:
-        corr = LagCorrelations(series, m)
-    elif correlations.series is series:
-        corr = correlations
-    else:
-        raise ValueError("correlations must be the lag kernel of the same residual series")
-    reports: dict[str, TestReport] = {}
-
-    for name in names:
-        if name in _TABLE:
-            reports[name] = _table_test(name, corr, m, order_correction)
-        elif name in VARIANCE_STATISTICS:
-            if garch_eps is None or garch_sigma2 is None:
-                raise InvalidSpec(f"{name} requires fitted conditional variances")
-            b, a = garch_orders
-            reports[name] = li_mak(garch_eps, garch_sigma2, m, b, a, weighted=(name == "Lbw"), acfs=garch_acfs)
-        else:
-            raise InvalidSpec(f"unknown statistic {name!r}")
-    return reports
+    return evaluate_lags(names, series, (m,), order_correction, garch_eps, garch_sigma2, garch_orders, correlations)[0]

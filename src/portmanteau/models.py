@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import itertools
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -472,7 +473,9 @@ def _convert(default, value):
 
     A bool takes only a JSON boolean, an int only an integral number and a
     float only a number (so an int too), a boolean counting as no number; any
-    other type converts with its constructor. Raises TypeError or ValueError.
+    other type converts with its constructor. A float must be finite: JSON's
+    NaN and Infinity, which Python's json reads, are rejected. Raises
+    TypeError or ValueError.
     """
     if isinstance(default, bool):
         if not isinstance(value, bool):
@@ -486,9 +489,12 @@ def _convert(default, value):
         return int(value)
     if isinstance(default, float):
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             raise ValueError("integer too large for a float") from None
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        return value
     return type(default)(value)
 
 

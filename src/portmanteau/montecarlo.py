@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .corrmat import _check_order
-from .diagnostics import ALL_STATISTICS, VARIANCE_STATISTICS, TestReport, evaluate_statistics, null_distribution
+from .diagnostics import _ROWS, ALL_STATISTICS, TestReport, evaluate_lags, null_distribution
 from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, LagTooLarge, NonPositiveDf, PortmanteauError
 from .fitting import (
     FitResult, fit_ar_block, fit_ar_garch_block, fit_arma_block, fit_garch_block, select_ar_order_aic_block,
@@ -33,7 +33,8 @@ from .fitting import (
 from .models import (
     _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _convert, _from_dict, _simulate_block, _to_dict, spec_from_dict,
 )
-from .residuals import LagCorrelations, _lone, garch_standardized_sq_acfs
+# Unused here: TestEvaluateFit monkeypatches this garch_standardized_sq_acfs; evaluate_fit no longer calls it.
+from .residuals import LagCorrelations, _lone, garch_standardized_sq_acfs  # noqa: F401
 
 CONFIG_SCHEMA_VERSION = 1
 # Replicates simulated and fitted together, as the rows of one block: at most
@@ -316,7 +317,7 @@ def check_statistics(fitter: FitterSpec, statistics, m_list, n_list) -> None:
     for name in statistics:
         if name not in ALL_STATISTICS:
             raise InvalidSpec(f"unknown statistic {name!r}; choose from {', '.join(ALL_STATISTICS)}")
-        if name in VARIANCE_STATISTICS and not kind.variances:
+        if _ROWS[name].source == "variance" and not kind.variances:
             raise InvalidSpec(f"{name} requires a fit with conditional variances (garch or ar_garch)")
     n_resid = min(n_list) - kind.lost_rows(fitter)
     for m in m_list:
@@ -338,35 +339,19 @@ def check_statistics(fitter: FitterSpec, statistics, m_list, n_list) -> None:
 def evaluate_fit(
     fit: FitResult, statistics, m_list, correlations: LagCorrelations | None = None
 ) -> list[dict[str, TestReport]]:
-    """The reports of ``statistics`` on one fit, one dict per lag order in ``m_list``.
+    """The reports of ``statistics`` on one fit, one dict per lag order in ``m_list``: ``evaluate_lags`` on its fields.
 
     The residuals are correlated once, at the largest m, and every m reads
     that one lag kernel: ``correlations`` when given (a kernel of the fit's
     residuals at a largest lag >= max(m_list), such as a row of
     ``_lag_kernels``), else a kernel of its own. The Lb family reads the
     fit's conditional variances, through one ``garch_standardized_sq_acfs``
-    call at the largest m, made at its first read and sliced for every m (a
-    degenerate input raises at every read).
+    call at the largest m, made at its first read and sliced for every m.
     """
-    sigma2 = acfs = values = None
-    if fit.conditional_sd is not None:
-        sigma2 = fit.conditional_sd * fit.conditional_sd
-
-        def acfs():
-            nonlocal values
-            if values is None:
-                values = garch_standardized_sq_acfs(fit.garch_eps, sigma2, max(m_list))
-            return values
-
-    if correlations is None:
-        correlations = LagCorrelations(fit.residuals, max(m_list))
-    return [
-        evaluate_statistics(
-            statistics, fit.residuals, m, order_correction=fit.order_correction, garch_eps=fit.garch_eps,
-            garch_sigma2=sigma2, garch_orders=fit.garch_orders, correlations=correlations, garch_acfs=acfs,
-        )
-        for m in m_list
-    ]
+    sigma2 = None if fit.conditional_sd is None else fit.conditional_sd * fit.conditional_sd
+    return evaluate_lags(
+        statistics, fit.residuals, m_list, fit.order_correction, fit.garch_eps, sigma2, fit.garch_orders, correlations
+    )
 
 
 def _lag_kernels(fits: list[FitResult], max_lag: int):

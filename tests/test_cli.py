@@ -127,6 +127,14 @@ class TestSimulateCommand:
         assert "overflowed" in err
         assert not out.exists()
 
+    def test_non_finite_model_value_exit_2(self, tmp_path, capsys):
+        spec = '{"model": {"kind": "arma", "phi": [NaN]}}'
+        out = tmp_path / "sim.csv"
+        code, _, err = _run(["simulate", "--model", spec, "--n", "50", "--out", str(out)], capsys)
+        assert code == 2
+        assert "'phi'" in err and "finite" in err
+        assert not out.exists()
+
     def test_model_file_path(self, tmp_path, capsys):
         spec_path = _write(tmp_path / "model.json", ARMA_SPEC)
         out = tmp_path / "sim.csv"

@@ -94,6 +94,64 @@ def test_a_memoized_null_is_the_null_and_an_error_raises_every_time(name):
             null_distribution(name, 0, 1, (1, 0))
 
 
+# (correction, dist) of null_distribution(name, m, 2, (1, 1)) at m = 6 and m = 10, written out from the
+# implementation that preceded the rows' correction column; None where no null exists (InvalidOrder).
+NULLS_AT_CORRECTION_TWO = {
+    "Cm": ((2, ("gamma", 5.147058823529412, 2.914285714285714)), (2, ("gamma", 8.14985994397759, 2.822134387351779))),
+    "Q_BP": ((2, ("chi2", 4)), (2, ("chi2", 8))),
+    "Q11": ((2, ("chi2", 4)), (2, ("chi2", 8))),
+    "Q22": ((0, ("chi2", 6)), (0, ("chi2", 10))),
+    "Q12": ((0, ("chi2", 6)), (0, ("chi2", 10))),
+    "Q21": ((0, ("chi2", 6)), (0, ("chi2", 10))),
+    "Qt12": ((0, ("chi2", 6)), (0, ("chi2", 10))),
+    "Qt21": ((0, ("chi2", 6)), (0, ("chi2", 10))),
+    "D11": (
+        (2, ("gamma", 2.1315789473684212, 0.7037037037037036)), (2, ("gamma", 3.3108108108108105, 1.0571428571428572))
+    ),
+    "D22": (
+        (0, ("gamma", 2.4230769230769234, 1.4444444444444444)), (0, ("gamma", 3.9285714285714284, 1.4000000000000001))
+    ),
+    "Dt11": (None, (2, ("gamma", 3.8076923076923084, 0.7878787878787877))),
+    "Dt22": (
+        (0, ("gamma", 2.423076923076923, 1.2380952380952381)), (0, ("gamma", 3.928571428571429, 1.2727272727272727))
+    ),
+    "M11": ((2, ("chi2", 4)), (2, ("chi2", 8))),
+    "M22": ((0, ("chi2", 6)), (0, ("chi2", 10))),
+    "Qw11": (
+        (2, ("gamma", 2.1315789473684212, 0.7037037037037036)), (2, ("gamma", 3.3108108108108105, 1.0571428571428572))
+    ),
+    "Qw22": (
+        (0, ("gamma", 2.4230769230769234, 1.4444444444444444)), (0, ("gamma", 3.9285714285714284, 1.4000000000000001))
+    ),
+    "Mw11": (
+        (2, ("gamma", 2.1315789473684212, 0.7037037037037036)), (2, ("gamma", 3.3108108108108105, 1.0571428571428572))
+    ),
+    "Mw22": (
+        (0, ("gamma", 2.4230769230769234, 1.4444444444444444)), (0, ("gamma", 3.9285714285714284, 1.4000000000000001))
+    ),
+    "Lb": ((2, ("chi2", 4)), (2, ("chi2", 8))),
+    "Lbw": ((2, ("chi2", 4)), (2, ("chi2", 8))),
+}
+# The correction of null_distribution(name, 10, 1, (2, 1)): p+q = 1 on the residual-autocorrelation rows,
+# b+a = 3 on the Li-Mak pair and none elsewhere, so each row's kind of correction shows.
+CORRECTIONS = {
+    "Cm": 1, "Q_BP": 1, "Q11": 1, "Q22": 0, "Q12": 0, "Q21": 0, "Qt12": 0, "Qt21": 0, "D11": 1, "D22": 0,
+    "Dt11": 1, "Dt22": 0, "M11": 1, "M22": 0, "Qw11": 1, "Qw22": 0, "Mw11": 1, "Mw22": 0, "Lb": 3, "Lbw": 3,
+}
+
+
+@pytest.mark.parametrize("name", ALL_STATISTICS)
+def test_each_statistic_keeps_its_null(name):
+    assert set(NULLS_AT_CORRECTION_TWO) == set(CORRECTIONS) == set(ALL_STATISTICS)
+    for m, expected in zip((6, 10), NULLS_AT_CORRECTION_TWO[name]):
+        if expected is None:
+            with pytest.raises(InvalidOrder):
+                null_distribution.__wrapped__(name, m, 2, (1, 1))
+        else:
+            assert null_distribution.__wrapped__(name, m, 2, (1, 1)) == expected
+    assert null_distribution.__wrapped__(name, 10, 1, (2, 1))[0] == CORRECTIONS[name]
+
+
 class TestGammaFromMoments:
     def test_equal_weights_give_chi_square(self):
         for m in (1, 5, 17):
@@ -466,6 +524,21 @@ class TestLagOrderRule:
             evaluate_statistics([name], series, 100)
         with pytest.raises(LagTooLarge):
             evaluate_statistics([name], series, 0)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_the_li_mak_pair_rejects_m_at_half_the_length_of_its_residuals(self, weighted):
+        rng = np.random.default_rng(6)
+        e, s2 = rng.standard_normal(40), 0.5 + rng.random(40)
+        series = make_residual_series(rng.standard_normal(199))  # longer: n is len(e), not the series' n
+        name = "Lbw" if weighted else "Lb"
+        kwargs = {"garch_eps": e, "garch_sigma2": s2, "garch_orders": (1, 0)}
+        li_mak(e, s2, 19, 1, 0, weighted=weighted)
+        evaluate_statistics([name], series, 19, **kwargs)
+        for m in (20, 30):
+            with pytest.raises(LagTooLarge):
+                li_mak(e, s2, m, 1, 0, weighted=weighted)
+            with pytest.raises(LagTooLarge):
+                evaluate_statistics([name], series, m, **kwargs)
 
     def test_public_functions_share_the_rule(self):
         series = make_residual_series(np.random.default_rng(4).standard_normal(60))

@@ -1,5 +1,7 @@
 """Simulators: distributional properties, reproducibility, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,23 @@ class TestLosslessConversion:
     def test_float_field_takes_only_a_json_number(self, model, key):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             spec_from_dict({"model": model})
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"model": {"kind": "arma", "mu": NaN}}', "mu"),
+            ('{"model": {"kind": "arma", "phi": [NaN]}}', "phi"),
+            ('{"model": {"kind": "garch", "alpha": [NaN]}}', "alpha"),
+            ('{"model": {"kind": "garch", "omega": Infinity}}', "omega"),
+            ('{"model": {"kind": "arma", "theta": [-Infinity]}}', "theta"),
+            ('{"model": {"kind": "arma"}, "innovation": {"law": "student_t", "df": Infinity}}', "df"),
+        ],
+        ids=["nan_mu", "nan_in_tuple", "nan_garch_alpha", "inf_omega", "minus_inf_in_tuple", "inf_df"],
+    )
+    def test_float_field_takes_only_a_finite_number(self, text, key):
+        # Python's json reads NaN and Infinity; a config holding one cannot run.
+        with pytest.raises(ConfigError, match=f"'{key}'.*finite"):
+            spec_from_dict(json.loads(text))
 
     def test_float_fields_keep_numbers(self):
         spec = spec_from_dict({"model": {"kind": "arma", "phi": [0.5, -0.25], "theta": [0], "mu": -2}})
