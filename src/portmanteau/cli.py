@@ -42,11 +42,12 @@ def read_returns_csv(path) -> np.ndarray:
     """Read a (date, price) or (date, return) CSV and produce the return series.
 
     Dates must be ISO-8601 and strictly increasing. In price mode the series
-    is mapped to log returns log(p_t / p_{t-1}), dropping the first row.
+    is mapped to log returns log(p_t / p_{t-1}), dropping the first row. A
+    leading UTF-8 byte-order mark, which spreadsheets write, is skipped.
     Raises :class:`CsvFormatError` carrying the offending 1-based line number.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CsvFormatError(0, f"cannot open {path}: {exc}") from exc
     with fh:
@@ -136,11 +137,13 @@ def _parse_fit_spec(text: str) -> FitterSpec:
 def _load_json_argument(value: str) -> dict:
     """Interpret an argument as a JSON file path, or as inline JSON."""
     if os.path.exists(value):
-        with open(value, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(value, encoding="utf-8") as fh:
                 return json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{value}: invalid JSON ({exc})") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read {value}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{value}: invalid JSON ({exc})") from exc
     stripped = value.strip()
     if stripped.startswith("{"):
         try:
@@ -148,6 +151,12 @@ def _load_json_argument(value: str) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"inline JSON is invalid ({exc})") from exc
     raise ConfigError(f"{value!r} is neither an existing file nor inline JSON")
+
+
+def _check_out(path: str) -> None:
+    """Reject an output file that is a directory or whose directory does not exist, before any work is done."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write {path}: it is a directory, or its directory does not exist")
 
 
 def _resolve_seed(seed: int) -> int:
@@ -166,6 +175,7 @@ def _resolve_seed(seed: int) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_out(args.out)
     spec = spec_from_dict(_load_json_argument(args.model))
     seed = _resolve_seed(args.seed)
     try:
@@ -253,6 +263,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    _check_out(args.out + ".csv")
     exp = experiment_from_dict(_load_json_argument(args.config))
     table = run_experiment(exp, workers=args.workers, log=_log)
     base = args.out

@@ -9,8 +9,10 @@ Each model class simulates a block of replicates at once in ``_paths``: row r
 draws its innovations from its own generator and runs the model's recursion,
 and equals, bit for bit, the path that generator gives as a block of one.
 ``_MODEL_TAGS`` names each class in configs. The JSON codec
-(``_to_dict``/``_from_dict``) reads and writes every spec from its dataclass
-fields, so a new model family is one class plus one tag.
+(``_to_dict``/``_from_dict``) reads and writes every config dataclass (each
+spec, the fitter and the Monte Carlo ``Experiment``) from its fields,
+converting each value by the field's type annotation, so a new model family
+is one class plus one tag.
 
 ``signal``, ``special`` and ``linalg`` are the package's one binding each of
 ``scipy.signal``, ``scipy.special`` and ``scipy.linalg``. Each is a lazy
@@ -28,6 +30,7 @@ import itertools
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -106,8 +109,8 @@ class Arma:
     """phi(B)(z_t - mu) = theta(B) e_t with phi(B) = 1 - phi_1 B - ...,
     theta(B) = 1 + theta_1 B + ...."""
 
-    phi: tuple = ()
-    theta: tuple = ()
+    phi: tuple[float, ...] = ()
+    theta: tuple[float, ...] = ()
     mu: float = 0.0
 
     @property
@@ -146,8 +149,8 @@ class Garch:
     """e_t = s_t xi_t with s_t^2 = omega + sum alpha_i e_{t-i}^2 + sum beta_j s_{t-j}^2."""
 
     omega: float = 1.0
-    alpha: tuple = ()
-    beta: tuple = ()
+    alpha: tuple[float, ...] = ()
+    beta: tuple[float, ...] = ()
 
     @property
     def b(self) -> int:
@@ -404,33 +407,48 @@ _MODEL_TAGS = {
 _TAG_OF = {cls: tag for tag, cls in _MODEL_TAGS.items()}
 
 
+@functools.cache
+def _codec_fields(cls) -> dict:
+    """``cls``'s fields by config key: (field name, resolved annotation, required), read once per class.
+
+    A field's config key is its ``"key"`` metadata, else its name; a field
+    without a default is required.
+    """
+    hints = get_type_hints(cls)
+    return {
+        f.metadata.get("key", f.name): (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    }
+
+
 def _to_dict(obj) -> dict:
-    """A config dataclass as a JSON-ready dict, in field order.
+    """A config dataclass as a JSON-ready dict, in field order, under each field's config key.
 
     A model's ``kind`` tag comes first; tuples become lists and nested
     dataclasses become dicts.
     """
     out = {"kind": _TAG_OF[type(obj)]} if type(obj) in _TAG_OF else {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for key, (name, _, _) in _codec_fields(type(obj)).items():
+        value = getattr(obj, name)
         if is_dataclass(value):
             value = _to_dict(value)
         elif isinstance(value, tuple):
             value = list(value)
-        out[f.name] = value
+        out[key] = value
     return out
 
 
 def _from_dict(cls, d, context: str):
     """The inverse of :func:`_to_dict`: build ``cls`` from the config dict ``d``.
 
-    Unknown keys are rejected and a missing key takes the field's default, so
-    the config shares its defaults with the constructor. A present value is
-    converted to the type of the field's default: a tuple element by element as
-    a float, a nested dataclass from its own dict, anything else by
-    :func:`_convert`. A field without a default holds a model of any kind; a
-    model's ``kind`` tag picks its class, which must be ``cls`` when ``cls`` is
-    a model class. A value that does not convert raises :class:`ConfigError`.
+    Unknown keys are rejected, a required key must be present and a missing
+    one takes the field's default, so the config shares its defaults with the
+    constructor. A present value is converted to the field's annotated type
+    (resolved once per class): a dataclass from its own dict, ``object`` as a
+    model of any kind, and a ``tuple[X, ...]`` or a scalar by
+    :func:`_convert`. A model's ``kind`` tag picks its class, which must be
+    ``cls`` when ``cls`` is a model class. A value that does not convert
+    raises :class:`ConfigError`.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{context} must be an object")
@@ -442,52 +460,50 @@ def _from_dict(cls, d, context: str):
             raise ConfigError(f"{context} must be of kind {_TAG_OF[cls]!r}, got {kind!r}")
         cls, context = _MODEL_TAGS[kind], f"{kind} model"
         d = {key: value for key, value in d.items() if key != "kind"}
-    unknown = set(d) - {f.name for f in fields(cls)}
+    codec = _codec_fields(cls)
+    unknown = set(d) - set(codec)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
     values = {}
-    for f in fields(cls):
-        default = f.default_factory() if f.default_factory is not MISSING else f.default
-        if f.name not in d:
-            if default is MISSING:
-                raise ConfigError(f"{context} requires {f.name!r}")
-            continue
-        value, where = d[f.name], f"{context} field {f.name!r}"
-        if default is MISSING or is_dataclass(default):
-            values[f.name] = _from_dict(object if default is MISSING else type(default), value, where)
-            continue
-        try:
-            if isinstance(default, tuple):
-                if not isinstance(value, (list, tuple)):
-                    raise TypeError(f"expected a list, got {type(value).__name__}")
-                values[f.name] = tuple(_convert(0.0, x) for x in value)
-            else:
-                values[f.name] = _convert(default, value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+    for key, (name, tp, required) in codec.items():
+        if key not in d:
+            if required:
+                raise ConfigError(f"{context} requires {key!r}")
+        elif tp is object or is_dataclass(tp):
+            values[name] = _from_dict(tp, d[key], f"{context} field {key!r}")
+        else:
+            try:
+                values[name] = _convert(tp, d[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{context} field {key!r}: {exc}") from None
     return cls(**values)
 
 
-def _convert(default, value):
-    """``value`` as a config value of ``default``'s type, without losing information.
+def _convert(tp: type, value):
+    """``value`` as a config value of type ``tp``, without losing information.
 
+    A ``tuple[X, ...]`` takes only a JSON array, each element converted to X.
     A bool takes only a JSON boolean, an int only an integral number and a
     float only a number (so an int too), a boolean counting as no number; any
     other type converts with its constructor. A float must be finite: JSON's
     NaN and Infinity, which Python's json reads, are rejected. Raises
     TypeError or ValueError.
     """
-    if isinstance(default, bool):
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+        return tuple(_convert(get_args(tp)[0], x) for x in value)
+    if tp is bool:
         if not isinstance(value, bool):
             raise TypeError(f"expected true or false, got {value!r}")
         return value
-    if isinstance(default, (int, float)) and (isinstance(value, bool) or not isinstance(value, (int, float))):
+    if tp in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise TypeError(f"expected a number, got {value!r}")
-    if isinstance(default, int):
+    if tp is int:
         if not isinstance(value, int) and not value.is_integer():
             raise TypeError(f"expected an integer, got {value!r}")
         return int(value)
-    if isinstance(default, float):
+    if tp is float:
         try:
             value = float(value)
         except OverflowError:
@@ -495,7 +511,7 @@ def _convert(default, value):
         if not math.isfinite(value):
             raise ValueError(f"expected a finite number, got {value!r}")
         return value
-    return type(default)(value)
+    return tp(value)
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:

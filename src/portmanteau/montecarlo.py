@@ -8,7 +8,10 @@ the table.
 Each fitter kind is one row of ``_FITTERS``, which every use of the kind reads.
 ``check_statistics`` is the one check of a request's statistics and lag orders,
 and ``evaluate_fit`` the one step from a fit to its statistics; the ``test``
-command shares both.
+command shares both. An experiment config is read and written by the models'
+codec (``_from_dict``/``_to_dict``), which converts each value by its field's
+type annotation, as it does for every spec: ``experiment_from_dict`` adds only
+the ``"schema"`` check and one validation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -30,11 +33,8 @@ from .errors import ConfigError, EmptySample, InvalidOrder, InvalidSpec, LagTooL
 from .fitting import (
     FitResult, fit_ar_block, fit_ar_garch_block, fit_arma_block, fit_garch_block, select_ar_order_aic_block,
 )
-from .models import (
-    _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _convert, _from_dict, _simulate_block, _to_dict, spec_from_dict,
-)
-# Unused here: TestEvaluateFit monkeypatches this garch_standardized_sq_acfs; evaluate_fit no longer calls it.
-from .residuals import LagCorrelations, _lone, garch_standardized_sq_acfs  # noqa: F401
+from .models import _MIN_LENGTH, Arma, ArmaGarch, Garch, ModelSpec, _from_dict, _simulate_block, _to_dict
+from .residuals import LagCorrelations, _lone
 
 CONFIG_SCHEMA_VERSION = 1
 # Replicates simulated and fitted together, as the rows of one block: at most
@@ -137,15 +137,20 @@ _FITTERS = {
 
 @dataclass(frozen=True)
 class Experiment:
-    """One size/power study: generator, fitter, grid and replication count."""
+    """One size/power study: generator, fitter, grid and replication count.
+
+    Its config keys are the field names, but ``"n"`` and ``"m"`` for
+    ``n_list`` and ``m_list``; a config without ``levels`` or ``master_seed``
+    takes the default here.
+    """
 
     generator: ModelSpec
     fitter: FitterSpec
-    n_list: tuple
-    m_list: tuple
-    levels: tuple
+    n_list: tuple[int, ...] = field(metadata={"key": "n"})
+    m_list: tuple[int, ...] = field(metadata={"key": "m"})
+    levels: tuple[float, ...] = field(default=(0.01, 0.05, 0.10), kw_only=True)
     replications: int
-    statistics: tuple
+    statistics: tuple[str, ...]
     master_seed: int = 0
 
     def validate(self) -> None:
@@ -466,59 +471,14 @@ def run_experiment(exp: Experiment, workers: int | None = None, log=None) -> McT
 # Experiment JSON configuration
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {"schema", "generator", "fitter", "n", "m", "levels", "replications", "statistics", "master_seed"}
-
-
 def experiment_from_dict(d: dict) -> Experiment:
-    if not isinstance(d, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    unknown = set(d) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in experiment config")
-    if d.get("schema") != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"experiment config must declare \"schema\": {CONFIG_SCHEMA_VERSION}")
-    for key in ("generator", "fitter", "n", "m", "replications", "statistics"):
-        if key not in d:
-            raise ConfigError(f"experiment config is missing {key!r}")
-    generator = spec_from_dict(d["generator"])
-    fitter = _from_dict(FitterSpec, d["fitter"], "fitter")
-    exp = Experiment(
-        generator=generator,
-        fitter=fitter,
-        n_list=_config_value(d, "n", 0, array=True),
-        m_list=_config_value(d, "m", 0, array=True),
-        levels=_config_value(d, "levels", 0.0, array=True, default=[0.01, 0.05, 0.10]),
-        replications=_config_value(d, "replications", 0),
-        statistics=_config_value(d, "statistics", "", array=True),
-        master_seed=_config_value(d, "master_seed", 0, default=Experiment.master_seed),
-    )
+    """The validated experiment of a config: ``"schema"`` plus the fields ``_from_dict`` reads."""
+    if not isinstance(d, dict) or d.get("schema") != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"experiment config must be a JSON object declaring \"schema\": {CONFIG_SCHEMA_VERSION}")
+    exp = _from_dict(Experiment, {key: value for key, value in d.items() if key != "schema"}, "experiment config")
     exp.validate()
     return exp
 
 
-def _config_value(d: dict, key: str, like, array: bool = False, default=None):
-    """Experiment config key ``key`` as a value of ``like``'s type, or with ``array``
-    a JSON array of them as a tuple; ``default`` when the key is absent."""
-    value = d.get(key, default)
-    try:
-        if not array:
-            return _convert(like, value)
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a JSON array, got {type(value).__name__}")
-        return tuple(_convert(like, x) for x in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"experiment config key {key!r}: {exc}") from None
-
-
 def experiment_to_dict(exp: Experiment) -> dict:
-    return {
-        "schema": CONFIG_SCHEMA_VERSION,
-        "generator": _to_dict(exp.generator),
-        "fitter": _to_dict(exp.fitter),
-        "n": list(exp.n_list),
-        "m": list(exp.m_list),
-        "levels": list(exp.levels),
-        "replications": exp.replications,
-        "statistics": list(exp.statistics),
-        "master_seed": exp.master_seed,
-    }
+    return {"schema": CONFIG_SCHEMA_VERSION, **_to_dict(exp)}

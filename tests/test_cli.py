@@ -78,6 +78,13 @@ class TestReadReturnsCsv:
             read_returns_csv(path)
         assert exc.value.line == 2
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "date,return\n2020-01-01,0.5\n2020-01-02,-0.25\n"
+        plain = read_returns_csv(_write(tmp_path / "plain.csv", text))
+        marked = read_returns_csv(_write(tmp_path / "marked.csv", "\ufeff" + text))
+        assert (tmp_path / "marked.csv").read_bytes().startswith(b"\xef\xbb\xbfdate,return")
+        assert np.array_equal(marked, plain)
+
 
 class TestParseFitSpec:
     def test_forms(self):
@@ -462,6 +469,18 @@ class TestMalformedConfigs:
         err = self._check(["mc", "--config", config, "--workers", workers, "--out", str(tmp_path / "x")], capsys)
         assert err == f"error: need at least one worker, got {workers}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    def test_config_path_that_is_a_directory(self, tmp_path, capsys):
+        self._check(["mc", "--config", str(tmp_path), "--workers", "1", "--out", str(tmp_path / "x")], capsys)
+
+    @pytest.mark.parametrize("out", ["no/z.csv", "."], ids=["missing_directory", "a_directory"])
+    def test_simulate_out_that_cannot_be_written(self, out, tmp_path, capsys):
+        self._check(["simulate", "--model", ARMA_SPEC, "--n", "50", "--out", str(tmp_path / out)], capsys)
+
+    def test_mc_out_in_a_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "no" / "x")
+        err = self._check(["mc", "--config", _experiment(), "--workers", "1", "--out", out], capsys)
+        assert "running" not in err
 
     @pytest.mark.parametrize("fit", MALFORMED_FIT_SPECS)
     @pytest.mark.parametrize("command", ["fit", "test"])

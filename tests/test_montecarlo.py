@@ -1,6 +1,7 @@
 """Replication engine: determinism, counting semantics, configuration."""
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from portmanteau import (
     Experiment,
     FitterSpec,
     Garch,
+    Innovation,
     McTable,
     ModelSpec,
     Star,
@@ -24,6 +26,7 @@ from portmanteau import (
 )
 from portmanteau.errors import ConfigError, EmptySample, InvalidSpec
 from portmanteau import diagnostics, montecarlo
+from portmanteau.models import _MODEL_TAGS
 from portmanteau.montecarlo import _block_rows, fit_series
 from portmanteau.residuals import garch_standardized_sq_acfs
 
@@ -317,7 +320,6 @@ class TestEvaluateFit:
             calls.append(m)
             return garch_standardized_sq_acfs(eps, sigma2, m)
 
-        monkeypatch.setattr(montecarlo, "garch_standardized_sq_acfs", counting)
         monkeypatch.setattr(diagnostics, "garch_standardized_sq_acfs", counting)
         return montecarlo.evaluate_fit(fit, self.NAMES, self.M_LIST), calls
 
@@ -481,6 +483,34 @@ class TestExperimentConfig:
         d[key] = value
         with pytest.raises(ConfigError):
             experiment_from_dict(d)
+
+
+class TestCodecContract:
+    """Every config dataclass is read and written by the one annotation-typed codec."""
+
+    CLASSES = (*_MODEL_TAGS.values(), Innovation, ModelSpec, FitterSpec, Experiment)
+    SCALARS = (bool, int, float, str)
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_field_has_a_type_the_codec_converts(self, cls):
+        # A bare tuple would convert the string "100" to ("1", "0", "0").
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            tp = hints[f.name]
+            array = get_origin(tp) is tuple and get_args(tp)[1:] == (...,) and get_args(tp)[0] in self.SCALARS
+            assert tp in self.SCALARS or tp is object or is_dataclass(tp) or array, f"{cls.__name__}.{f.name}: {tp}"
+
+    def test_a_config_without_levels_or_seed_takes_the_constructor_defaults(self):
+        exp = Experiment(
+            generator=ModelSpec(model=Arma(phi=(0.1,))), fitter=FitterSpec(kind="ar"), n_list=(60,), m_list=(4,),
+            replications=5, statistics=("Cm",),
+        )
+        config = {
+            "schema": 1, "generator": {"model": {"kind": "arma", "phi": [0.1]}}, "fitter": {"kind": "ar"},
+            "n": [60], "m": [4], "replications": 5, "statistics": ["Cm"],
+        }
+        assert experiment_from_dict(config) == exp
+        assert exp.levels == (0.01, 0.05, 0.10) and exp.master_seed == 0
 
 
 # Configs whose fits succeed but whose statistic has no null at some m: each
