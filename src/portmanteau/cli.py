@@ -263,6 +263,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if not os.path.basename(args.out):
+        raise ConfigError(f"--out {args.out!r} must end in a file name prefix, not a path separator")
     _check_out(args.out + ".csv")
     exp = experiment_from_dict(_load_json_argument(args.config))
     table = run_experiment(exp, workers=args.workers, log=_log)

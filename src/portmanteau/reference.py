@@ -15,20 +15,23 @@ this module; the tests use it to check that path against a second derivation:
 - single-lag correlations, standardization and partial autocorrelations
   (:func:`cross_correlation`, :func:`standardize_correlation`, :func:`pacf`,
   :func:`residual_pacf`, :func:`garch_standardized_sq_acf`), against the lag
-  kernel ``residuals.LagCorrelations``.
+  kernel ``residuals.LagCorrelations``;
+- the step-by-step GARCH variance recursion (:func:`garch_paths`), against the
+  chunked scan of ``models.Garch._paths``.
 
 This module imports from the production modules; none of them imports it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corrmat import _as_array, logdet_pd
 from .errors import LagOutOfRange, NonInvertible, NonStationary, NotPositiveDefinite
-from .models import _check_roots, _lag_roots, linalg, signal
+from .models import Garch, Innovation, _check_roots, _draws, _lag_roots, linalg, signal
 from .residuals import (
     CorrSequence,
     ResidualSeries,
@@ -106,6 +109,50 @@ def garch_standardized_sq_acf(eps, sigma2, k: int) -> float:
     """
     d, den = _centered_sq_ratio(eps, sigma2, k)
     return float(d[k:] @ d[: d.size - k]) / den
+
+
+# ---------------------------------------------------------------------------
+# The GARCH variance recursion, one step at a time
+# ---------------------------------------------------------------------------
+
+
+def garch_paths(model: Garch, innovation: Innovation, rngs, total: int) -> np.ndarray:
+    """The (len(rngs), total) GARCH paths of ``model``, drawn as ``Garch._paths`` draws them,
+    by the variance recursion taken one time step at a time.
+
+    Channel 0 of each row's history holds e^2 and channel 1, for a > 0, s^2.
+    Both run backwards in time: column total - 1 - t holds step t and the last
+    k columns the pre-sample v0, so the lags of step t, newest first, are the
+    k columns from total - t. Each step is one stacked matmul of (1, k) windows
+    by (k, 1) coefficients per row and channel, zero-padded to k lags, then
+    s^2 = omega + the alpha dot (+ the beta dot), e = sqrt(s^2) xi and
+    e^2 = e * e. The dots are BLAS ddot calls, so the last bits depend on
+    whether the BLAS build fuses the multiply-add. Needs max(b, a) >= 1.
+    """
+    xi = _draws(innovation, rngs, total).T.copy()  # step t reads one contiguous row
+    rows = xi.shape[1]
+    lags = (model.alpha, model.beta) if model.a else (model.alpha,)
+    k = max(map(len, lags))
+    coef = np.zeros((len(lags), k, 1))
+    for j, c in enumerate(lags):
+        coef[j, : len(c), 0] = c
+    hist = np.full((rows, len(lags), 1, total + k), model.unconditional_variance)
+    # Step t's window (rows, channels, 1, k) starts at column total - t; it writes column total - 1 - t.
+    windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(hist, k, axis=-1), 3, 0)[total:0:-1]
+    e2_out = hist[:, 0, 0].T[total - 1 :: -1]
+    s2_out = hist[:, -1, 0].T[total - 1 :: -1] if model.a else itertools.repeat(np.empty(rows), total)
+    dots = np.empty((rows, len(lags), 1, 1))
+    alpha_dot, beta_dot = dots[:, 0, 0, 0], dots[:, -1, 0, 0]
+    sd = np.empty(rows)
+    for window, s2, e2, e in zip(windows, s2_out, e2_out, xi):
+        np.matmul(window, coef, dots)
+        np.add(model.omega, alpha_dot, s2)
+        if model.a:
+            np.add(s2, beta_dot, s2)
+        np.sqrt(s2, sd)
+        np.multiply(sd, e, e)
+        np.multiply(e, e, e2)
+    return np.ascontiguousarray(xi.T)
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,12 @@ class TestMalformedConfigs:
         err = self._check(["mc", "--config", _experiment(), "--workers", "1", "--out", out], capsys)
         assert "running" not in err
 
+    def test_mc_out_ending_in_a_separator(self, tmp_path, capsys):
+        # The prefix "DIR/" would name the hidden files DIR/.csv, DIR/.json and DIR/_curves.csv.
+        err = self._check(["mc", "--config", _experiment(), "--workers", "1", "--out", f"{tmp_path}{os.sep}"], capsys)
+        assert "running" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("fit", MALFORMED_FIT_SPECS)
     @pytest.mark.parametrize("command", ["fit", "test"])
     def test_fit_spec(self, command, fit, tmp_path, capsys):
