@@ -313,7 +313,7 @@ LAYERS = {
         lambda: {"model": MODELS, "n": SIZES, "block": BLOCKS},
         _simulate_cell,
         {"ratio": "ms_per_path"},
-        3,
+        15,
         "ms_per_path: a block call divided by the block size; seeds 1000..; default burn-in",
     ),
     "lag_kernel": Layer(

@@ -10,13 +10,19 @@ with a JUnit XML report added, and exits 0 only when every collected test ran
 passing criterion 5 also exits 1: it means its check or its data changed.
 Nothing is deselected. Extra arguments are passed on to pytest. It also prints
 the suite's wall time and its five slowest tests, as the report records them.
+A run of the whole suite (no extra arguments) writes them to
+``BENCH_tier1.json`` at the repository root, with each test file's summed time
+and the collected, passed and failed counts, so the suite time has a record.
 
 Usage: python scripts/check_tier1.py [pytest args...]
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -54,6 +60,21 @@ def timings(report: Path) -> tuple[float, list[tuple[float, str]]]:
     return total, cases[:5]
 
 
+def _test_file(case: ET.Element) -> str:
+    """The path of a test case's file, from its dotted module path: the class names start upper case."""
+    parts = (case.get("classname") or case.get("name", "")).split(".")
+    return "/".join(itertools.takewhile(lambda part: not part[:1].isupper(), parts)) + ".py"
+
+
+def file_times(report: Path) -> dict[str, float]:
+    """Each test file's summed test time in seconds, slowest first, from a JUnit XML report."""
+    sums: dict[str, float] = {}
+    for case in ET.parse(report).getroot().iter("testcase"):
+        path = _test_file(case)
+        sums[path] = sums.get(path, 0.0) + float(case.get("time", 0.0))
+    return dict(sorted(sums.items(), key=lambda item: (-item[1], item[0])))
+
+
 def verdict(results: dict[str, str]) -> tuple[bool, list[str]]:
     """(ok, lines): ok only if every test ran and the failures are exactly EXPECTED_FAILURES."""
     failed = {t for t, s in results.items() if s == "failed"}
@@ -77,8 +98,22 @@ def main(argv: list[str]) -> int:
         if not report.is_file():
             print(f"check_tier1: pytest wrote no report (exit {proc.returncode})")
             return 1
-        ok, lines = verdict(outcomes(report))
+        results = outcomes(report)
+        ok, lines = verdict(results)
         total, slowest = timings(report)
+        files = file_times(report)
+    if not argv:
+        counts = {status: sum(s == status for s in results.values()) for status in ("passed", "failed")}
+        record = {
+            "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",
+            "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
+            "suite_s": round(total, 3),
+            "collected": len(results),
+            **counts,
+            "slowest": [{"test": test, "s": round(seconds, 3)} for seconds, test in slowest],
+            "files_s": {path: round(seconds, 3) for path, seconds in files.items()},
+        }
+        (ROOT / "BENCH_tier1.json").write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     lines.append(f"suite time {total:.1f} s")
     lines += [f"slow: {seconds:.2f} s {test}" for seconds, test in slowest]
     for line in lines:

@@ -1,9 +1,12 @@
 """Seeded simulators for the generating processes used in the size/power studies.
 
-Every simulator is a pure function of (spec, n, seed): the same inputs produce
-bitwise-identical output regardless of where or how often they run. Burn-in
-samples are generated and discarded so the retained path is effectively
-stationary.
+A (spec, seed) pair fixes one path, and ``simulate(spec, n, seed)`` is its
+first n values after the burn-in: the same inputs produce bitwise-identical
+output regardless of where or how often they run, and a shorter path is the
+prefix of a longer one under every model and innovation law. Each draw takes
+its values from the generator in time order, so a longer draw begins with a
+shorter one. Burn-in samples are generated and discarded so the retained path
+is effectively stationary.
 
 Each model class simulates a block of replicates at once in ``_paths``: row r
 draws its innovations from its own generator and runs the model's recursion,
@@ -75,15 +78,19 @@ class Innovation:
             raise InvalidSpec("student_t innovations need df > 2 for unit variance")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws from ``rng``; the first k of them are the draw of size k.
+
+        The skew-normal law takes its two normals per value from one draw of
+        2 * size, at the even and the odd positions, so it keeps that rule too.
+        """
         self.validate()
         if self.law == "normal":
             return rng.standard_normal(size)
         if self.law == "student_t":
             return rng.standard_t(self.df, size) * np.sqrt((self.df - 2.0) / self.df)
         delta = self.slant / np.sqrt(1.0 + self.slant**2)
-        u0 = rng.standard_normal(size)
-        u1 = rng.standard_normal(size)
-        z = delta * np.abs(u0) + np.sqrt(1.0 - delta * delta) * u1
+        u = rng.standard_normal(2 * size)
+        z = delta * np.abs(u[0::2]) + np.sqrt(1.0 - delta * delta) * u[1::2]
         mean = delta * np.sqrt(2.0 / np.pi)
         sd = np.sqrt(1.0 - 2.0 * delta * delta / np.pi)
         return (z - mean) / sd
@@ -206,8 +213,8 @@ class Garch:
         elementwise ufunc and each sum adds its terms in one fixed order, so
         a row rounds as its lone path does, and no BLAS dot product sets the
         bits. The chunk length is a constant, not an option, because the chunk
-        edges fix the bits: a path stays a function of (spec, n, seed) alone,
-        and a path of n values is the prefix of a longer one. A block costs
+        edges fix the bits: a path stays a function of (spec, seed) alone, and
+        a path of n values is the prefix of a longer one. A block costs
         about L + total / L steps of a few numpy calls each, where the
         recursion took five calls per time step.
         """
@@ -338,12 +345,11 @@ class Sqar:
             raise InvalidSpec("latent autoregressive coefficient must be inside the unit circle")
 
     def _paths(self, innovation: Innovation, rngs, total: int) -> np.ndarray:
-        eps, nu = np.empty((2, len(rngs), total))
-        for r, rng in enumerate(rngs):
-            eps[r] = innovation.draw(rng, total)
-            nu[r] = innovation.draw(rng, total)
-        y = signal.lfilter([1.0], [1.0, -self.latent_phi], nu, axis=1)
-        return y * y + eps
+        """Each row draws 2 * total innovations: e_t at the even positions and v_t
+        at the odd, so a path of n values is the prefix of a longer one."""
+        draws = _draws(innovation, rngs, 2 * total)
+        y = signal.lfilter([1.0], [1.0, -self.latent_phi], draws[:, 1::2], axis=1)
+        return y * y + draws[:, 0::2]
 
 
 @dataclass(frozen=True)
@@ -407,7 +413,7 @@ class ModelSpec:
 
 
 def simulate(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
-    """Generate n observations from the spec, deterministically in (spec, n, seed).
+    """The first n observations after the burn-in of the one path that (spec, seed) fixes.
 
     The path is the block of one seed; raises :class:`NonFinite` when it overflows.
     """
@@ -426,11 +432,15 @@ def _simulate_block(spec: ModelSpec, n: int, seeds) -> tuple[np.ndarray, np.ndar
     ``_paths`` draws each row from that seed's own generator. The recursion
     runs with numpy's overflow warnings off: a row that overflows is reported
     by its ``False`` in the second array, and leaves the other rows as they are.
+    Paths too large to allocate raise :class:`InvalidSpec`, which names their length.
     """
     if n < _MIN_LENGTH:
         raise InvalidSpec(f"need n >= {_MIN_LENGTH}, got {n}")
     rngs = [np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1))) for seed in seeds]
-    paths = spec.model._paths(spec.innovation, rngs, spec.burn_in + n)[:, spec.burn_in :]
+    try:
+        paths = spec.model._paths(spec.innovation, rngs, spec.burn_in + n)[:, spec.burn_in :]
+    except MemoryError:
+        raise InvalidSpec(f"cannot allocate simulated paths of burn-in + n = {spec.burn_in + n} values") from None
     return paths, np.isfinite(paths).all(axis=1)
 
 

@@ -376,13 +376,14 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
     """(rejection counts, degenerate evaluations, simulation failures, fit
     failures) for replicates [start, stop); the deterministic kernel.
 
-    Consecutive replicates are simulated ``_block_rows`` at a time, each n as
-    one block of paths whose row r is, bit for bit, the path of replicate r's
-    seed alone; then every finite row is fitted (``_fit_rows``, each fit what
-    its row gives alone), the fits of each residual length are correlated in
-    one lag pass (``_lag_kernels``) and each fit is tested. So the counts,
-    integer sums, depend neither on the block size nor on how [start, stop)
-    is split.
+    Consecutive replicates are simulated ``_block_rows`` at a time, once, at
+    the largest n: row r is, bit for bit, the path of replicate r's seed
+    alone, and each n reads its first n values, which are that seed's path
+    of n values. A row counts as finite at n when its first n values are.
+    Then every finite row is fitted (``_fit_rows``, each fit what its row
+    gives alone), the fits of each residual length are correlated in one lag
+    pass (``_lag_kernels``) and each fit is tested. So the counts, integer
+    sums, depend neither on the block size nor on how [start, stop) is split.
 
     ``exp`` must already be validated: the generator spec is not checked again
     for each replicate.
@@ -397,10 +398,11 @@ def _run_replicates(exp: Experiment, start: int, stop: int) -> tuple[np.ndarray,
     rows = _block_rows(exp)
     for first in range(start, stop, rows):
         seeds = [replicate_seed(exp.master_seed, rep) for rep in range(first, min(first + rows, stop))]
+        block, _ = _simulate_block(exp.generator, max(exp.n_list), seeds)
         for ni, n in enumerate(exp.n_list):
-            paths, finite = _simulate_block(exp.generator, n, seeds)
+            finite = np.isfinite(block[:, :n]).all(axis=1)
             sim_failures += int(np.count_nonzero(~finite))
-            fits = [fit for fit in _fit_rows(paths[finite], fitter) if not isinstance(fit, PortmanteauError)]
+            fits = [fit for fit in _fit_rows(block[finite, :n], fitter) if not isinstance(fit, PortmanteauError)]
             failures += int(np.count_nonzero(finite)) - len(fits)
             for fit, correlations in _lag_kernels(fits, max(exp.m_list)):
                 for mi, reports in enumerate(evaluate_fit(fit, stats, exp.m_list, correlations)):

@@ -68,3 +68,24 @@ def test_timings_read_the_suite_time_and_the_five_slowest(tmp_path):
         (0.75, "tests.test_c::test_6"),
         (0.5, "tests.test_a::test_1"),
     ]
+
+
+def test_file_times_sum_each_files_tests(tmp_path):
+    report = tmp_path / "r.xml"
+    report.write_text(TIMED_REPORT, encoding="utf-8")
+    assert check_tier1.file_times(report) == {
+        "tests/test_b.py": 6.01,
+        "tests/test_a.py": 3.75,
+        "tests/test_c.py": 1.75,
+    }
+
+
+def test_file_times_name_a_collection_error_by_its_module(tmp_path):
+    report = tmp_path / "r.xml"
+    report.write_text(REPORT, encoding="utf-8")
+    assert check_tier1.file_times(report) == {
+        "tests/test_acceptance.py": 0.0,
+        "tests/test_broken.py": 0.0,
+        "tests/test_corrmat.py": 0.0,
+        "tests/test_models.py": 0.0,
+    }

@@ -501,6 +501,35 @@ class TestMalformedConfigs:
         assert "Traceback" not in err
 
 
+class TestUnallocatablePath:
+    """A path too long to allocate exits 2 with one error line naming its length, and writes no file.
+
+    10**17 values are 8e17 bytes, more than a process's address space on
+    64-bit hardware (at most 2**57 bytes), so every host refuses the draw at
+    once and none starts to fault it in.
+    """
+
+    N = 10**17
+
+    def _check(self, argv, tmp_path, capsys):
+        code, _, err = _run(argv, capsys)
+        assert code == 2
+        assert err.count("error:") == 1
+        assert f"burn-in + n = {self.N} values" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate(self, tmp_path, capsys):
+        spec = json.dumps({"model": {"kind": "arma", "phi": [0.1]}, "burn_in": 0})
+        argv = ["simulate", "--model", spec, "--n", str(self.N), "--out", str(tmp_path / "z.csv")]
+        self._check(argv, tmp_path, capsys)
+
+    def test_mc(self, tmp_path, capsys):
+        generator = {"model": {"kind": "arma", "phi": [0.1]}, "burn_in": 0}
+        config = _experiment(generator=generator, n=[self.N], replications=1)
+        self._check(["mc", "--config", config, "--workers", "1", "--out", str(tmp_path / "x")], tmp_path, capsys)
+
+
 class TestFitCommand:
     def test_fit_reports_estimates(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
