@@ -13,6 +13,14 @@ BLOCKS:
   rho_22, rho_12 and rho_21 at lags 0..M of R standard normal residual series
   (seeds 1000..) through ``LagCorrelations.stack``, kernels built in the call;
   ``us_per_series`` is its time divided by R.
+- ``logdet``: for each family of ``FAMILIES`` (the D family D11, D22, Dt11
+  and Dt22, whose Toeplitz log-determinants the kernel reads from its
+  Durbin-Levinson runs, and Cm, whose block log-determinant is a Cholesky
+  factor per row) and each m in MAX_LAGS, the kernels of R standard normal
+  residual series (seeds 1000..) through ``LagCorrelations.stack`` at largest
+  lag m, built in the call, and each kernel's reports of the family at m
+  through ``evaluate_statistics``; ``us_per_series`` is its time divided by R.
+  The lag pass is in each time; the ``lag_kernel`` layer times it alone.
 - ``garch_qmle``: for each order (b, a) of ``GARCH_MODELS`` (those of
   ``tests/test_golden_garch.py``), ``fit_garch_qmle`` on each of seeds
   0..SERIES-1 of the matching GARCH model at burn-in 200: ``ms_per_fit`` is
@@ -123,6 +131,8 @@ MODELS = {
     "tar": lambda pkg: pkg.Tar(phi1_lower=-1.5, phi1_upper=0.5),
 }
 
+# Family name: the statistics the logdet layer evaluates together.
+FAMILIES = {"D": ("D11", "D22", "Dt11", "Dt22"), "Cm": ("Cm",)}
 # Design name: (model of MODELS, statistics, lag orders); no statistics means the battery's 18.
 DESIGNS = {
     "ar_null": ("ar1", ("Cm",), (10,)),
@@ -184,6 +194,16 @@ def _lag_kernel_cell(pkg, n: int, max_lag: int, block: int):
         for kernel in pkg.LagCorrelations.stack(series, max_lag):
             for i, j in KINDS:
                 kernel.rho(i, j, max_lag)
+
+    return [call], lambda best: {"us_per_series": round(1e6 * best[0] / block, 2)}
+
+
+def _logdet_cell(pkg, family: str, n: int, m: int, block: int):
+    series = [pkg.make_residual_series(np.random.default_rng(1000 + k).standard_normal(n)) for k in range(block)]
+
+    def call():
+        for kernel in pkg.LagCorrelations.stack(series, m):
+            pkg.evaluate_statistics(FAMILIES[family], kernel.series, m, correlations=kernel)
 
     return [call], lambda best: {"us_per_series": round(1e6 * best[0] / block, 2)}
 
@@ -324,6 +344,15 @@ LAYERS = {
         15,
         "us_per_series: a block call (kernels built, four kinds at lags 0..M) divided by the block size; "
         "standard normal series, seeds 1000..",
+    ),
+    "logdet": Layer(
+        "diagnostics.logdet",
+        lambda: {"family": FAMILIES, "n": SIZES, "m": MAX_LAGS, "block": BLOCKS},
+        _logdet_cell,
+        {"ratio": "us_per_series"},
+        15,
+        "us_per_series: a block call (kernels built at largest lag m, the lag pass included, and the family's "
+        "reports at m through evaluate_statistics) divided by the block size; standard normal series, seeds 1000..",
     ),
     "garch_qmle": Layer(
         "fitting.fit_garch_qmle",

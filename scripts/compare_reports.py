@@ -16,7 +16,10 @@ SRC under its own module name (``bench_layer._load``).
 
 Every later tree is compared with the first, report by report: the statistic
 and p-value bits, ``dist``, ``order_correction`` and ``degenerate``, and the
-set of reports itself. Prints PASS and exits 0 only when every report
+set of reports itself. For each statistic with a differing report it prints
+how many differ, the worst relative change of the statistic and of the
+p-value, and how many degenerate flags changed, so a change meant to move
+bits shows by how much. Prints PASS and exits 0 only when every report
 matches, else prints the first mismatches and FAIL and exits 1.
 
 Usage: python scripts/compare_reports.py --tree parent=OTHER/src --tree change=src
@@ -25,6 +28,7 @@ Usage: python scripts/compare_reports.py --tree parent=OTHER/src --tree change=s
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -82,6 +86,36 @@ def evaluate(pkg, replicates: int) -> dict:
     return out
 
 
+def _relative(old: str, new: str) -> float:
+    """|new - old| / |old| of two floats given as hex.
+
+    Equal bits, NaN included, give 0; an old 0 or a value that is not finite gives inf.
+    """
+    if old == new:
+        return 0.0
+    a, b = float.fromhex(old), float.fromhex(new)
+    return abs(b - a) / abs(a) if a and math.isfinite(a) and math.isfinite(b) else math.inf
+
+
+def _by_statistic(base: dict, other: dict, differ: list) -> None:
+    """Print, per statistic with a differing report, how many differ and how many changed their degenerate flag.
+
+    The worst relative changes of the statistic and the p-value are over the reports whose flag held.
+    """
+    changes: dict[str, list] = {}
+    for key in differ:
+        old, new = base[key], other[key]
+        changes.setdefault(old[0], []).append((old[6] != new[6], _relative(old[2], new[2]), _relative(old[3], new[3])))
+    for name, rows in sorted(changes.items()):
+        kept = [row for row in rows if not row[0]]
+        statistic = max((row[1] for row in kept), default=0.0)
+        p_value = max((row[2] for row in kept), default=0.0)
+        print(
+            f"  {name}: {len(rows)} differ, {len(rows) - len(kept)} degenerate flags changed; "
+            f"the others' statistic by at most {statistic:.2g} and p-value by at most {p_value:.2g}, relative"
+        )
+
+
 def compare(reports: dict) -> int:
     """Print each later tree's report mismatches against the first tree, then PASS or FAIL; the exit status."""
     labels = list(reports)
@@ -96,6 +130,7 @@ def compare(reports: dict) -> int:
             f"{label} against {labels[0]}: {len(base)} reports, {len(differ)} differ, "
             f"{len(missing)} missing, {len(extra)} extra"
         )
+        _by_statistic(base, other, differ)
         for key in differ[:SHOWN]:
             print(f"  {key}: {base[key]} != {other[key]}")
         for what, keys in (("missing", missing), ("extra", extra)):

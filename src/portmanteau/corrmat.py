@@ -6,14 +6,16 @@ rho_ij(c - r); the block matrix stacks the four kinds as
 residual series or its lag kernel (:class:`~portmanteau.residuals.LagCorrelations`)
 at any largest lag >= m, and read the correlations from the kernel.
 
-The statistics read log-determinants through ``toeplitz_logdet`` and
-``block_logdet``: the first read of a (kind, m, standardized) matrix by any
-row of a kernel's block gathers that matrix for every row at once, factors
-each with its own ``dpotrf`` and sums every row's 2 log diag(L) in one
-stacked reduction; the block keeps the results (``LagCorrelations.shared``),
-each row bit for bit ``logdet_pd`` of its own matrix. The
-Schur-complement and trace-identity oracles for these matrices live in
-:mod:`portmanteau.reference`.
+Cm reads its log-determinant through ``block_logdet``: the first read at an
+m by any row of a kernel's block gathers the block matrix of every row at
+once, factors each with its own ``dpotrf`` and sums every row's
+2 log diag(L) in one stacked reduction; the block keeps the results
+(``LagCorrelations.shared``), each row bit for bit ``logdet_pd`` of its own
+matrix. The D statistics read their Toeplitz log-determinants from the
+kernel's Durbin-Levinson runs (``LagCorrelations.logdet``), not from here:
+``toeplitz_logdet``, the Cholesky route, is the oracle the tests check that
+read against. The Schur-complement and trace-identity oracles for these
+matrices live in :mod:`portmanteau.reference`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import LagTooLarge, NotPositiveDefinite
 from .models import linalg
-from .residuals import LagCorrelations, ResidualSeries, lag_correlations, standardization_factors
+from .residuals import LagCorrelations, ResidualSeries, lag_correlations
 
 _KINDS = {(1, 1): "R11", (1, 2): "R12", (2, 1): "R21", (2, 2): "R22"}
 
@@ -77,24 +79,6 @@ def _toeplitz(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return _toeplitz_sources(neg, pos)[..., _toeplitz_index(pos.shape[-1] - 1)]
 
 
-def _toeplitz_entries(rho: np.ndarray, n: int, i: int, j: int, m: int, standardized: bool) -> np.ndarray:
-    """The (R, m+1, m+1) Toeplitz matrices of rho_ij of each row of an (R, 2, 2, >= m+1) lag pass, one gather."""
-    pos = rho[:, i - 1, j - 1, : m + 1]  # rho_ij(0..m)
-    neg = rho[:, j - 1, i - 1, : m + 1]  # rho_ij(-k) = rho_ji(k)
-    if standardized:
-        # The scaling is defined for k != 0 only; lag 0 keeps its raw value so
-        # autocorrelation matrices keep a unit diagonal.
-        factors = standardization_factors(n, np.arange(1, m + 1))
-        pos = pos.copy()
-        pos[:, 1:] *= factors
-        if i == j:
-            neg = pos
-        else:
-            neg = neg.copy()
-            neg[:, 1:] *= factors
-    return _toeplitz(neg, pos)
-
-
 def _block_entries(rho: np.ndarray, m: int) -> np.ndarray:
     """The (R, 2(m+1), 2(m+1)) block matrices [[R11, R12], [R12', R22]] of each row of a lag pass, one gather."""
     d = m + 1
@@ -106,10 +90,18 @@ def _block_entries(rho: np.ndarray, m: int) -> np.ndarray:
 def build_toeplitz(
     series: ResidualSeries | LagCorrelations, i: int, j: int, m: int, standardized: bool = False
 ) -> CrossCorrMatrix:
-    """The (m+1) x (m+1) Toeplitz matrix with entry (r, c) = rho_ij(c - r)."""
+    """The (m+1) x (m+1) Toeplitz matrix with entry (r, c) = rho_ij(c - r).
+
+    Standardized entries are those of the kernel's standardized correlogram;
+    lag 0 keeps its raw value, so an autocorrelation matrix keeps a unit diagonal.
+    """
     _check_order(series.n, m)
     corr = lag_correlations(series, m)
-    entries = _toeplitz_entries(corr.lag_pass(m), corr.n, i, j, m, standardized)[0]
+    # pos is rho_ij(0..m), neg rho_ij(-k) = rho_ji(k).
+    pos, neg = (
+        np.concatenate((corr.rho(a, b, 0), corr.correlogram(a, b, m, standardized).values)) for a, b in ((i, j), (j, i))
+    )
+    entries = _toeplitz(neg, pos)
     return CrossCorrMatrix(m=m, kind=_KINDS[(i, j)], entries=entries, standardized=standardized)
 
 
@@ -122,7 +114,8 @@ def build_block(series: ResidualSeries | LagCorrelations, m: int) -> CrossCorrMa
     """
     _check_order(series.n, m)
     corr = lag_correlations(series, m)
-    entries = _block_entries(corr.lag_pass(m), m)[0]
+    rho = np.array([[corr.rho(a, b, m) for b in (1, 2)] for a in (1, 2)])  # [i-1, j-1, k]
+    entries = _block_entries(rho[None], m)[0]
     return CrossCorrMatrix(m=m, kind="block", entries=entries, standardized=False)
 
 
@@ -165,22 +158,15 @@ def logdet_pd(matrix) -> float:
     return logdet
 
 
-def _shared_logdet(corr: LagCorrelations, key: tuple, m: int, entries) -> float:
-    """log|A| of this row's matrix A, ``entries(rho)`` stacking every row's, all computed at the first call."""
-    _check_order(corr.n, m)
-    logdet, info = corr.shared(("logdet", *key), m, lambda rho: _logdet_rows(entries(rho)))
-    if info > 0:
-        raise NotPositiveDefinite(info)
-    return logdet
-
-
 def toeplitz_logdet(corr: LagCorrelations, i: int, j: int, m: int, standardized: bool = False) -> float:
-    """``logdet_pd(build_toeplitz(corr, i, j, m, standardized))``, computed for every row of the kernel's block."""
-    return _shared_logdet(
-        corr, (i, j, m, standardized), m, lambda rho: _toeplitz_entries(rho, corr.n, i, j, m, standardized)
-    )
+    """``logdet_pd(build_toeplitz(corr, i, j, m, standardized))``: the Cholesky oracle of ``LagCorrelations.logdet``."""
+    return logdet_pd(build_toeplitz(corr, i, j, m, standardized))
 
 
 def block_logdet(corr: LagCorrelations, m: int) -> float:
     """``logdet_pd(build_block(corr, m))``, computed for every row of the kernel's block at once."""
-    return _shared_logdet(corr, ("block", m), m, lambda rho: _block_entries(rho, m))
+    _check_order(corr.n, m)
+    logdet, info = corr.shared(("block", m), m, lambda rho: _logdet_rows(_block_entries(rho, m)))
+    if info > 0:
+        raise NotPositiveDefinite(info)
+    return logdet

@@ -16,10 +16,11 @@ Every statistic is one row: the 18 correlation statistics are the rows of
 ``_ROWS``. A new statistic is one more row. The columns are:
 
 - ``source``: ``rho`` (rho_ij(k), k = 1..m), ``pacf`` (the partial
-  autocorrelations of rho_ii), ``toeplitz`` (log|R_ij(m)|), ``block``
-  (log|R(m)| of the block matrix, which spans all four kinds), all read from a
-  lag kernel of the residuals, or ``variance`` (the autocorrelations of a
-  fit's e_t^2/s_t^2, read from its ``_Variance``);
+  autocorrelations of rho_ii), ``toeplitz`` (log|R_ii(m)|, which the kernel
+  reads from the same Durbin-Levinson run as the PACF, i = j), ``block``
+  (log|R(m)| of the block matrix, which spans all four kinds, by Cholesky),
+  all read from a lag kernel of the residuals, or ``variance`` (the
+  autocorrelations of a fit's e_t^2/s_t^2, read from its ``_Variance``);
 - ``i``, ``j``: the powers of the leading and of the lagged residual;
 - ``form``: ``bp`` n sum x_k^2, ``lb`` n(n+2) sum x_k^2/(n-k), ``lbw`` the
   same with triangular weights (m-k+1)/m, ``bpw`` the bp sum with Li-Mak's
@@ -31,7 +32,8 @@ Every statistic is one row: the 18 correlation statistics are the rows of
 - ``correction``: the null's correction, ``arma`` (the fit's p+q, for the rows
   that read residual autocorrelations, the block row included), ``none`` or
   ``variance`` (b+a, the fitted variance orders);
-- ``standardized``: the Toeplitz entries carry the factor sqrt((n+2)/(n-k)).
+- ``standardized``: the Toeplitz entries off the unit diagonal carry the
+  factor sqrt((n+2)/(n-k)).
 
 Every :class:`TestReport` comes from one evaluator, ``_row_test`` through
 ``_evaluate``: it checks 1 <= m < n/2 on the row's source, reads the row's
@@ -58,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .corrmat import _check_order, block_logdet, toeplitz_logdet
+from .corrmat import _check_order, block_logdet
 from .errors import (
     DegenerateSample,
     DegenerateVariance,
@@ -317,7 +319,7 @@ def _read(row: _Row, source: LagCorrelations | _Variance, m: int):
     if row.source == "pacf":
         return source.pacf(row.i, m)
     if row.source == "toeplitz":
-        return toeplitz_logdet(source, row.i, row.j, m, row.standardized)
+        return source.logdet(row.i, m, row.standardized)
     if row.source == "variance":
         return source.acfs(m)
     return block_logdet(source, m)
@@ -507,7 +509,7 @@ def evaluate_statistics(
     """Compute the requested statistics at one lag order on one residual series: ``evaluate_lags`` at m alone.
 
     Every statistic reads its correlations, partial autocorrelations and
-    Toeplitz entries from one lag kernel of the series, so each correlation
+    log-determinants from one lag kernel of the series, so each correlation
     kind is computed once however many statistics use it; ``correlations``
     passes in a kernel of this series at a largest lag >= m, shared by the
     evaluations at every lag order.

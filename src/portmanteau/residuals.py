@@ -1,4 +1,4 @@
-"""Residual series, their (cross-)correlations and partial autocorrelations.
+"""Residual series, their (cross-)correlations, partial autocorrelations and Toeplitz log-determinants.
 
 Conventions used throughout: a residual series of length n is reduced to two
 centered transforms, f1(e_t) = e_t - mean(e) and f2(e_t) = e_t^2 - mean(e^2).
@@ -12,10 +12,13 @@ correlation the statistics use comes from one lag kernel,
 :class:`LagCorrelations`: for a stack of equal-length series and a largest
 lag M it computes the four kinds rho_11, rho_22, rho_12 and rho_21 over lags
 0..M once, one stacked dot product per lag for every row and kind, and runs
-the Durbin-Levinson recursion at most once per autocorrelation kind, on every
-row in lock step (``durbin_levinson_rows``). Every smaller lag order m
-reads a prefix of those sequences, which is bit for bit what a separate
-computation at m gives, because no lag's value depends on M.
+the Durbin-Levinson recursion once, on rho_11 and rho_22 of every row, raw
+and standardized, all in lock step (``durbin_levinson_rows``). Those runs
+give the partial autocorrelations and, through
+log|R(m)| = sum_{k<=m} (m+1-k) log1p(-pi_k^2), the log-determinant of every
+unit-diagonal Toeplitz autocorrelation matrix the D statistics read. Every
+smaller lag order m reads a prefix of those sequences, which is bit for bit
+what a separate computation at m gives, because no lag's value depends on M.
 ``cross_corr_sequence``, ``correlogram`` and the statistics in
 ``diagnostics`` all read the kernel.
 The single-lag and standalone-PACF oracles the tests check the kernel
@@ -193,13 +196,16 @@ def standardization_factors(n: int, lags) -> np.ndarray:
     return np.sqrt((n + 2.0) / (n - np.abs(lags)))
 
 
-def durbin_levinson_rows(rho: np.ndarray) -> list[tuple[np.ndarray, int | None]]:
+def durbin_levinson_rows(rho: np.ndarray) -> list[tuple[np.ndarray, int | None, np.ndarray]]:
     """The Durbin-Levinson recursion on each row rho(1..M) of an (R, M) stack, in lock step.
 
     Entry r is row r's run: the partial autocorrelations it reached, read-only,
-    and the order K at which its prediction-error variance hit zero or below
-    (None when it never did before order M). The recursion up to order m does
-    not depend on M, so the run at M answers every m <= M (see
+    the order K at which its prediction-error variance hit zero or below
+    (None when it never did before order M), and, read-only, the
+    log-determinants log|R(m)| = sum_{k<=m} (m+1-k) log1p(-pi_k^2) of its
+    unit-diagonal Toeplitz matrices for every m = 0..M, one cumulative sum of
+    log v_k per row (see :func:`logdet_prefix`). The recursion up to order m
+    does not depend on M, so the run at M answers every m <= M (see
     :func:`pacf_prefix`). Each step is elementwise or, for the sum
     phi_1 rho_{k-1} + ... + phi_{k-1} rho_1, a stacked ``np.matmul`` on the
     reversed rho as a strided view, which numpy sums per row in the order the
@@ -212,7 +218,9 @@ def durbin_levinson_rows(rho: np.ndarray) -> list[tuple[np.ndarray, int | None]]
     pacf, variance, phi = np.empty((m, count)), np.empty((m, count)), np.zeros((m, count))
     dot = np.empty((count, 1, 1))
     lead, lagged, dot_rows, v = phi.T[:, None, :], rho[:, :, None], dot[:, 0, 0], np.ones(count)
-    # A row past its breakdown divides by v <= 0; its values are never read.
+    logdets = np.zeros((count, m + 1))
+    # A row past its breakdown divides by v <= 0: no later pi_k is read, and its later
+    # log-determinants are -inf or NaN.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k, (pik, rho_k, v_k) in enumerate(zip(pacf, rho.T, variance), start=1):
             if k == 1:
@@ -223,30 +231,45 @@ def durbin_levinson_rows(rho: np.ndarray) -> list[tuple[np.ndarray, int | None]]
                 phi[: k - 1] -= pik * phi[k - 2 :: -1]
             phi[k - 1] = pik
             v = np.multiply(v, 1.0 - pik * pik, out=v_k)
-    pacf = np.ascontiguousarray(pacf.T)
-    variance = variance.T
-    pacf.flags.writeable = False
+        pacf = np.ascontiguousarray(pacf.T)
+        np.cumsum(np.cumsum(np.log1p(-pacf * pacf), axis=1), axis=1, out=logdets[:, 1:])
+    pacf.flags.writeable = logdets.flags.writeable = False
     # Order k + 1 is refused when v <= 0 after order k, k < M: K is the first such k, and M means none.
-    refused = np.concatenate((variance[:, : max(m - 1, 0)] <= 0.0, np.ones((count, 1), dtype=bool)), axis=1)
-    failed = (np.argmax(refused, axis=1) + 1).tolist()
-    return [(pacf[r, :order], order) if order < m else (pacf[r], None) for r, order in enumerate(failed)]
+    refused = np.concatenate((variance.T[:, : max(m - 1, 0)] <= 0.0, np.ones((count, 1), dtype=bool)), axis=1)
+    failed = [order if order < m else None for order in (np.argmax(refused, axis=1) + 1).tolist()]
+    return [(pacf[r, :order], order, logdets[r]) for r, order in enumerate(failed)]
 
 
-def durbin_levinson_prefix(rho: np.ndarray) -> tuple[np.ndarray, int | None]:
+def durbin_levinson_prefix(rho: np.ndarray) -> tuple[np.ndarray, int | None, np.ndarray]:
     """The Durbin-Levinson recursion on rho(1..M), run as far as it goes: ``durbin_levinson_rows`` of one row."""
     return durbin_levinson_rows(np.asarray(rho, dtype=float)[None])[0]
 
 
-def pacf_prefix(run: tuple[np.ndarray, int | None], m: int) -> np.ndarray:
+def pacf_prefix(run: tuple[np.ndarray, int | None, np.ndarray], m: int) -> np.ndarray:
     """pi_1..pi_m from a :func:`durbin_levinson_prefix` run at some M >= m.
 
     Raises :class:`SingularToeplitz` exactly when ``durbin_levinson`` on the
     first m correlations would: when the run broke down at an order K < m.
     """
-    values, failed = run
+    values, failed, _ = run
     if failed is not None and m > failed:
         raise SingularToeplitz(failed)
     return values[:m]
+
+
+def logdet_prefix(run: tuple[np.ndarray, int | None, np.ndarray], m: int) -> float:
+    """log|R(m)| of the unit-diagonal Toeplitz matrix of rho(0..m), from a :func:`durbin_levinson_prefix` run at M >= m.
+
+    R(m) is positive definite exactly when pi_1..pi_m all lie in (-1, 1),
+    that is, exactly when the value is finite: a |pi_k| >= 1 makes
+    log1p(-pi_k^2) -inf or NaN, and so every later sum. Else this raises
+    :class:`SingularToeplitz` with that first order k. The run's K is not
+    used, since no run at M examines v_M.
+    """
+    logdets = run[2][: m + 1]
+    if not math.isfinite(logdets[m]):
+        raise SingularToeplitz(int(np.argmin(np.isfinite(logdets))))
+    return float(logdets[m])
 
 
 def durbin_levinson(rho: np.ndarray) -> np.ndarray:
@@ -260,11 +283,25 @@ def durbin_levinson(rho: np.ndarray) -> np.ndarray:
     return pacf_prefix(durbin_levinson_prefix(rho), rho.size)
 
 
+def _autocorrelation_runs(rho: np.ndarray, n: int) -> list:
+    """Per row of an (R, 2, 2, M+1) lag pass, its runs on rho_11 and rho_22, raw and standardized.
+
+    One ``durbin_levinson_rows`` call on the 4R sequences; row r's entry holds
+    its four runs indexed 2 standardized + i - 1, the standardized sequences
+    being those of :meth:`LagCorrelations.correlogram`.
+    """
+    auto = rho[:, (0, 1), (0, 1), 1:]  # (R, 2, M): rho_11(1..M) and rho_22(1..M)
+    max_lag = auto.shape[-1]
+    factors = standardization_factors(n, np.arange(1, max_lag + 1))
+    runs = durbin_levinson_rows(np.stack((auto, factors * auto), axis=1).reshape(4 * len(rho), max_lag))
+    return [runs[k : k + 4] for k in range(0, len(runs), 4)]
+
+
 class _LagBlock:
     """Equal-length residual series and, from its first use, their lag pass at largest lag M.
 
     ``shared`` keeps, per key, a value computed once for every row, such as the
-    rows' Durbin-Levinson runs or their Toeplitz log-determinants.
+    rows' Durbin-Levinson runs or their block log-determinants.
     """
 
     def __init__(self, series, max_lag: int):
@@ -293,21 +330,22 @@ class _LagBlock:
 class LagCorrelations:
     """The lag kernel: the correlations of one residual series up to lag M.
 
-    ``rho(i, j, m)`` is rho_ij(k) for k = 0..m and ``pacf(i, m)`` the partial
-    autocorrelations pi_1..pi_m of rho_ii, for any m <= M. The four kinds'
-    correlations over lags 0..M and each kind's Durbin-Levinson run are
-    computed on first use and then sliced, so a statistic battery over
-    several lag orders correlates the series once. The returned arrays are
-    read-only views of that cache.
+    ``rho(i, j, m)`` is rho_ij(k) for k = 0..m, ``pacf(i, m)`` the partial
+    autocorrelations pi_1..pi_m of rho_ii and ``logdet(i, m, standardized)``
+    log|R_ii(m)|, for any m <= M. The four kinds' correlations over lags 0..M
+    and the Durbin-Levinson runs are computed on first use and then sliced, so
+    a statistic battery over several lag orders correlates the series once.
+    The returned arrays are read-only views of that cache.
 
     A kernel is one row of a lag pass over a stack of equal-length series:
     :meth:`stack` gives the kernels of R series that share one pass. Every
-    quantity a kernel reads is computed for all R rows at the first use by
-    any of them, each row keeping its own values: the pass, each kind's
-    Durbin-Levinson runs (each row breaking down at its own order) and,
-    through :meth:`shared`, whatever a reader keys there, such as the
-    log-determinants of ``corrmat``. A kernel built from one series is the
-    stack of one; either way each row's values are bit for bit the same.
+    quantity a kernel reads is computed for all R rows at the first use by any
+    of them, each row keeping its own values: the pass, the four
+    Durbin-Levinson runs of every row in one stack (each run breaking down at
+    its own order) and, through :meth:`shared`, whatever a reader keys there,
+    such as the block log-determinants of ``corrmat``. A kernel built from one
+    series is the stack of one; either way each row's values are bit for bit
+    the same.
     """
 
     def __init__(self, series: ResidualSeries, max_lag: int):
@@ -341,11 +379,6 @@ class LagCorrelations:
         self._check_lag(m)
         return self._block.rho()[self._row, i - 1, j - 1, : m + 1]
 
-    def lag_pass(self, m: int) -> np.ndarray:
-        """rho_ij(k) for k = 0..m of this row alone, as a read-only (1, 2, 2, m+1) stack indexed [0, i-1, j-1, k]."""
-        self._check_lag(m)
-        return self._block.rho()[self._row : self._row + 1, ..., : m + 1]
-
     def shared(self, key, m: int, compute):
         """This row's entry of ``compute(rho)``, computed once for the whole block per ``key``.
 
@@ -356,16 +389,23 @@ class LagCorrelations:
         self._check_lag(m)
         return self._block.shared(key, lambda: compute(self._block.rho()[..., : m + 1]))[self._row]
 
-    def pacf(self, i: int, m: int) -> np.ndarray:
-        """pi_1..pi_m of rho_ii; raises :class:`SingularToeplitz` like ``durbin_levinson``.
-
-        The rho_ii of every row of the block run in one stack; the other kind
-        runs only when it is read.
-        """
+    def _run(self, i: int, standardized: bool, m: int) -> tuple:
+        """This row's Durbin-Levinson run on rho_ii, raw or standardized, made with every row's four runs."""
         _check_power(i)
         self._check_lag(m)
-        runs = self.shared(("pacf", i), self.max_lag, lambda rho: durbin_levinson_rows(rho[:, i - 1, i - 1, 1:]))
-        return pacf_prefix(runs, m)
+        runs = self.shared("durbin_levinson", self.max_lag, lambda rho: _autocorrelation_runs(rho, self.n))
+        return runs[2 * standardized + i - 1]
+
+    def pacf(self, i: int, m: int) -> np.ndarray:
+        """pi_1..pi_m of rho_ii; raises :class:`SingularToeplitz` like ``durbin_levinson``."""
+        return pacf_prefix(self._run(i, False, m), m)
+
+    def logdet(self, i: int, m: int, standardized: bool = False) -> float:
+        """log|R_ii(m)| by :func:`logdet_prefix` on this row's run, its entries standardized as :meth:`correlogram`'s.
+
+        Raises :class:`SingularToeplitz` when R_ii(m) is not positive definite.
+        """
+        return logdet_prefix(self._run(i, standardized, m), m)
 
     def correlogram(self, i: int, j: int, m: int, standardized: bool = False) -> CorrSequence:
         """rho_ij(k) for k = 1..m as a :class:`CorrSequence`."""

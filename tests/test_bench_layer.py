@@ -19,6 +19,7 @@ SRC = str(ROOT / "src")
 CELLS = {
     "simulate": (["model", "n", "block", "ms_per_path", "sha256"], 7 * 2),
     "lag_kernel": (["n", "max_lag", "block", "us_per_series"], 2 * 2),
+    "logdet": (["family", "n", "m", "block", "us_per_series"], 2 * 2 * 2),
     "garch_qmle": (["order", "n", "ms_per_fit", "iterations", "loglik_mean", "block_ms_per_row"], 1),
     "arma_css": (["order", "n", "ms_per_fit", "iterations", "loglik_mean", "block_ms_per_row"], 1),
     "statistics": (["design", "n", "block", "us_per_series"], 2 * 2),

@@ -70,3 +70,19 @@ def test_a_report_missing_or_extra_fails(script):
 
 def test_no_reports_fails(script):
     assert script.compare({"parent": {}, "change": {}}) == 1
+
+
+def test_differences_are_summed_per_statistic(script, capsys):
+    keys = [(*KEY[:4], name) for name in ("D22", "Q11")] + [(*KEY[:3], 10, "D22")]
+    parent = {key: script._bits(_report(name=key[4])) for key in keys}
+    change = dict(parent)
+    change[keys[0]] = script._bits(_report(name="D22", statistic=3.25 * (1 + 2e-9), p_value=0.5171 * (1 - 4e-12)))
+    change[keys[2]] = script._bits(_report(name="D22", statistic=math.nan, p_value=0.0, degenerate=True))
+    assert script.compare({"parent": parent, "change": change}) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "change against parent: 3 reports, 2 differ, 0 missing, 0 extra"
+    assert out[1] == (
+        "  D22: 2 differ, 1 degenerate flags changed; the others' statistic by at most 2e-09 and p-value by at most "
+        "4e-12, relative"
+    )
+    assert out[-1].startswith("FAIL")

@@ -8,7 +8,10 @@ dot-product loop for the stacked lag pass, the per-series recursion for the
 stacked Durbin-Levinson runs, one Cholesky per matrix for the stacked
 log-determinants, a lone kernel for each row of a block kernel, and
 scipy.linalg.toeplitz for the Toeplitz gather. Equality is exact (bit for
-bit), with NaN matching NaN.
+bit), with NaN matching NaN. The one exception is the Toeplitz
+log-determinant the kernel reads from its Durbin-Levinson runs, a different
+computation from the Cholesky factor it is checked against: the two must give
+the same positive-definite verdict and agree to 1e-12 + 1e-11 |log|R||.
 """
 
 import math
@@ -280,6 +283,29 @@ def _block_series(seed: int, n: int, rows: int) -> list:
     return out
 
 
+def _shaped_series(seed: int, n: int, rows: int) -> list:
+    """``rows`` series of length n, every shape of SHAPES in turn, with the zero-lag variances their samples give."""
+    rng = np.random.default_rng(seed)
+    return [make_residual_series(SHAPES[sorted(SHAPES)[r % len(SHAPES)]](n, rng)) for r in range(rows)]
+
+
+def _logdet_or_none(fn, *args):
+    """A log-determinant, or None where the matrix is not positive definite."""
+    try:
+        return fn(*args)
+    except (NotPositiveDefinite, SingularToeplitz):
+        return None
+
+
+def _assert_logdet_reads(kernel, i: int, standardized: bool, expected: list) -> None:
+    """``kernel.logdet`` at m = 1, 2, ... has the verdict of ``expected[m - 1]`` and its value up to rounding."""
+    for m, value in enumerate(expected, start=1):
+        read = _logdet_or_none(kernel.logdet, i, m, standardized)
+        assert (read is None) == (value is None), (i, standardized, m, read, value)
+        if value is not None:
+            assert abs(read - value) <= 1e-12 + 1e-11 * abs(value), (i, standardized, m, read, value)
+
+
 class TestBlockKernel:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -358,6 +384,30 @@ class TestBlockKernel:
                     ), (name, m)
                     degenerate += a.degenerate
         assert degenerate > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 120), rows=st.integers(1, 8))
+    @example(seed=3, n=120, rows=8)
+    def test_logdet_reads_agree_with_cholesky(self, seed, n, rows):
+        big_m = (n - 1) // 2
+        series = _shaped_series(seed, n, rows)
+        verdicts = set()
+        for s, row in zip(series, LagCorrelations.stack(series, big_m)):
+            lone = LagCorrelations(s, big_m)
+            for i in (1, 2):
+                for standardized in (False, True):
+                    # toeplitz_logdet is logdet_pd(build_toeplitz(...)), one Cholesky per matrix.
+                    orders = range(1, big_m + 1)
+                    expected = [_logdet_or_none(toeplitz_logdet, lone, i, i, m, standardized) for m in orders]
+                    for kernel in (row, lone):
+                        _assert_logdet_reads(kernel, i, standardized, expected)
+                    if None in expected:
+                        # A lone kernel whose largest lag is the first order whose matrix is not positive definite.
+                        order = expected.index(None) + 1
+                        _assert_logdet_reads(LagCorrelations(s, order), i, standardized, expected[:order])
+                    verdicts.update(value is None for value in expected)
+        # Row 0 has the hand-made alternating shape, some of whose matrices are not positive definite.
+        assert verdicts == {False, True}
 
     def test_row_arrays_are_read_only(self):
         series = _block_series(4, 50, 3)

@@ -15,6 +15,7 @@ complement route of ``reference.schur_logdet`` to criterion 8a's absolute
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +47,19 @@ def _same_value(a: float, b: float) -> bool:
     data=st.data(),
 )
 def test_table_statistics_are_scale_invariant(shape, seed, n, c, data):
-    m = data.draw(st.integers(1, (n - 1) // 2), label="m")
+    _assert_scale_invariant(shape, seed, n, c, data.draw(st.integers(1, (n - 1) // 2), label="m"))
+
+
+# Draws whose D22 and Dt22 matrices lie within about 1e-8 of the identity, where
+# a Cholesky log-determinant keeps only about 1e-8 of relative precision.
+@pytest.mark.parametrize(
+    "shape, seed, n, c, m", [("student_t", 268, 20, 197.0, 1), ("normal", 2664, 195, 383.0, 1)]
+)
+def test_near_identity_statistics_are_scale_invariant(shape, seed, n, c, m):
+    _assert_scale_invariant(shape, seed, n, c, m)
+
+
+def _assert_scale_invariant(shape: str, seed: int, n: int, c: float, m: int) -> None:
     e = SHAPES[shape](n, np.random.default_rng(seed))
     base = evaluate_statistics(TABLE_STATISTICS, make_residual_series(e), m)
     scaled = evaluate_statistics(TABLE_STATISTICS, make_residual_series(c * e), m)
