@@ -35,6 +35,11 @@ BLOCKS:
   (three of ``tests/test_arma_css_floor.py``) and ``fit_arma_css``, the
   block being the engine's ``montecarlo._fit_rows`` with an ARMA(p, q)
   fitter.
+- ``ar_ls``: for each least-squares fit of ``AR_FITS`` (the ar_null
+  workload's AR(1) without intercept and AR(4) with intercept), one
+  ``fit_ar_block`` call on R paths of the ar_null workload's AR(1) model at
+  the default burn-in (seeds 1000..), simulated outside the timing;
+  ``us_per_series`` is its time divided by R.
 - ``statistics``: for each design of ``DESIGNS`` (the ar_null workload's
   AR(1) with Cm at m = 10, the battery workload's TAR with its 18 statistics
   at m = 10 and 30), R paths at the default burn-in (seeds 1000..),
@@ -130,6 +135,8 @@ MODELS = {
     "ar1": lambda pkg: pkg.Arma(phi=(0.1,)),
     "tar": lambda pkg: pkg.Tar(phi1_lower=-1.5, phi1_upper=0.5),
 }
+# Least-squares AR fit name: (order p, intercept).
+AR_FITS = {"ar1": (1, False), "ar4_mean": (4, True)}
 
 # Family name: the statistics the logdet layer evaluates together.
 FAMILIES = {"D": ("D11", "D22", "Dt11", "Dt22"), "Cm": ("Cm",)}
@@ -248,6 +255,15 @@ def _arma_css_cell(pkg, order: str, n: int):
     return _fit_cell(
         pkg, pkg.Arma(**ARMA_MODELS[p, q]), n, lambda z: pkg.fit_arma_css(z, p, q),
         lambda rows: list(pkg.montecarlo._fit_rows(rows, fitter)),
+    )
+
+
+def _ar_ls_cell(pkg, fit: str, n: int, block: int):
+    p, intercept = AR_FITS[fit]
+    paths, _ = pkg.models._simulate_block(pkg.ModelSpec(model=MODELS["ar1"](pkg)), n, [1000 + k for k in range(block)])
+    return (
+        [lambda: pkg.fitting.fit_ar_block(paths, p, intercept=intercept)],
+        lambda best: {"us_per_series": round(1e6 * best[0] / block, 2)},
     )
 
 
@@ -375,6 +391,15 @@ LAYERS = {
         3,
         f"ms_per_fit: mean over seeds 0..{SERIES - 1} of a lone fit; block_ms_per_row: montecarlo._fit_rows on "
         "the first R seeds, per row; burn-in 200",
+    ),
+    "ar_ls": Layer(
+        "fitting.fit_ar_block",
+        lambda: {"fit": AR_FITS, "n": SIZES, "block": BLOCKS},
+        _ar_ls_cell,
+        {"ratio": "us_per_series"},
+        15,
+        "us_per_series: a fit_ar_block call divided by the block size; the ar_null model's paths, simulated "
+        "outside the timing, seeds 1000..; default burn-in",
     ),
     "statistics": Layer(
         "montecarlo.statistics",

@@ -8,7 +8,10 @@ fits, standardized residuals e_t / s_t for conditional-variance fits.
 Every fitter takes an (R, n) stack of series (``fit_*_block``; the one-series
 functions are the block of one) and gives each row bit for bit its lone fit.
 The ARMA and GARCH fits share one optimizer, ``_bfgs``: BFGS on an analytic
-gradient, run in lock step over the block's rows.
+gradient, run in lock step over the block's rows. A gradient through a
+recursion filter (1/theta(B) of the errors, the beta lags of the variances)
+runs its weights backwards through that filter once (``_backward``), so no
+derivative of the errors or variances is filtered.
 """
 
 from __future__ import annotations
@@ -304,6 +307,21 @@ def _bfgs(x: np.ndarray, f: np.ndarray, g: np.ndarray, objective, data: tuple, f
     return tuple(out)
 
 
+def _backward(den: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row of w run backwards through its own filter 1/den(B): the lambda with sum_t w_t F(x)_t = sum_t lambda_t x_t.
+
+    F(x) is ``lfilter(1, den, x)`` from a zero state, a lower-triangular map,
+    so its transpose is the same filter run from the end of the row (reverse
+    accumulation): lambda_t = w_t - sum_{j>=1} den_j lambda_{t+j}. ``den`` is
+    (..., k+1) and w (..., n) with the same leading axes; one ``lfilter`` per row.
+    """
+    rows, den = w.reshape(-1, w.shape[-1]), den.reshape(-1, den.shape[-1])
+    lam = np.empty_like(rows)
+    for r in range(len(rows)):
+        lam[r] = signal.lfilter(_ONE, den[r], rows[r, ::-1])[::-1]
+    return lam.reshape(w.shape)
+
+
 # ---------------------------------------------------------------------------
 # ARMA by conditional sum of squares
 # ---------------------------------------------------------------------------
@@ -316,11 +334,12 @@ def _css_score(x: np.ndarray, z: np.ndarray, p: int, q: int):
     first p observations with zero pre-sample errors: eps_t = w_t - sum_j
     phi_j w_{t-j} - sum_i theta_i eps_{t-i} with w = z - mu, for t > p. Their
     derivatives in mu, phi_j and theta_i are -(1 - sum phi), -w_{t-j} and
-    -eps_{t-i}, each filtered by 1/theta(B) (one ``lfilter`` per row for the
-    errors and one for their derivatives), and the gradient is 2 sum eps_t
-    d eps_t. A point whose CSS or gradient is not
-    finite gets 1e300 and a zero gradient; the caller silences the
-    floating-point warnings such a point raises.
+    -eps_{t-i}, each filtered by 1/theta(B), so the gradient 2 sum_t eps_t
+    d eps_t is 2 sum_t lambda_t times those unfiltered drives, with lambda
+    the errors run backwards through the same filter (``_backward``; lambda
+    = eps when q = 0). A point whose CSS or gradient is not finite gets 1e300
+    and a zero gradient; the caller silences the floating-point warnings such
+    a point raises.
     """
     count, n = z.shape
     phi, theta = x[:, 1 : 1 + p], x[:, 1 + p :]
@@ -337,10 +356,9 @@ def _css_score(x: np.ndarray, z: np.ndarray, p: int, q: int):
             eps[r] = signal.lfilter(_ONE, den[r], eps[r])
         for i in range(1, q + 1):
             drive[:, p + i, i:] = -eps[:, : n - p - i]
-        for r in range(count):
-            drive[r] = signal.lfilter(_ONE, den[r], drive[r], axis=1)
+    lam = _backward(den, eps) if q else eps
     css = np.add.reduce(eps * eps, axis=1)
-    grad = 2.0 * np.add.reduce(drive * eps[:, None, :], axis=2)
+    grad = 2.0 * np.add.reduce(drive * lam[:, None, :], axis=2)
     bad = ~(np.isfinite(css) & np.isfinite(grad).all(axis=1))
     grad[bad] = 0.0
     return np.where(bad, 1e300, css), grad, eps
@@ -514,9 +532,12 @@ def _garch_nll_score(x: np.ndarray, padded: np.ndarray, eps2: np.ndarray, v0, b:
     axes. The derivatives D_t of s^2_t in (omega, alpha, beta) follow the
     variance recursion itself (Fiorentini, Calzolari & Panattoni 1996):
     D_t = g_t + sum_j beta_j D_{t-j} with g_t = (1, e^2_{t-i}, s^2_{t-j}),
-    pre-sample e^2 and s^2 pinned at v0 and pre-sample derivatives zero. The
-    score 0.5 * sum (1/s^2 - e^2/s^4) D_t is chain-ruled through log omega
-    (d omega / dx_0 = omega) and the logits (dw/dl = diag(w) - w w^T).
+    pre-sample e^2 and s^2 pinned at v0 and pre-sample derivatives zero. So
+    the score 0.5 * sum_t w_t D_t, w_t = 1/s^2_t - e^2_t/s^4_t, is
+    0.5 * sum_t lambda_t g_t with lambda the weights run backwards through
+    the recursion (``_backward``; lambda = w when a = 0), and no D_t is
+    formed. It is chain-ruled through log omega (d omega / dx_0 = omega) and
+    the logits (dw/dl = diag(w) - w w^T).
     A point whose NLL is not finite gets 1e300 and a zero gradient; the
     caller silences the floating-point warnings such a point raises.
     """
@@ -529,24 +550,14 @@ def _garch_nll_score(x: np.ndarray, padded: np.ndarray, eps2: np.ndarray, v0, b:
     n = eps2.shape[-1]
     # Twice the weight of D_t in the score; the halving is exact, so it waits for the sums.
     w = (1.0 - ratio) / sig2
+    lam = _backward(den, w) if a else w
     score = np.empty(x.shape)
-    if a:
-        g = np.empty(x.shape[:-1] + (1 + b + a, n))
-        g[..., 0, :] = 1.0
-        for i in range(1, b + 1):
-            g[..., i, :] = padded[..., b - i : b - i + n]
-        for j in range(1, a + 1):
-            g[..., b + j, :j] = np.asarray(v0)[..., None]
-            g[..., b + j, j:] = sig2[..., : n - j]
-        rows, w_rows, score_rows = g.reshape(-1, 1 + b + a, n), w.reshape(-1, n), score.reshape(-1, 1 + b + a)
-        den = den.reshape(-1, a + 1)
-        for r in range(len(rows)):
-            score_rows[r] = np.add.reduce(signal.lfilter(_ONE, den[r], rows[r], axis=1) * w_rows[r], axis=1)
-    else:
-        # Without a beta, D_t is g_t itself.
-        score[..., 0] = np.add.reduce(w, axis=-1)
-        for i in range(1, b + 1):
-            score[..., i] = np.add.reduce(padded[..., b - i : b - i + n] * w, axis=-1)
+    score[..., 0] = np.add.reduce(lam, axis=-1)
+    for i in range(1, b + 1):
+        score[..., i] = np.add.reduce(padded[..., b - i : b - i + n] * lam, axis=-1)
+    for j in range(1, a + 1):
+        presample = np.asarray(v0) * np.add.reduce(lam[..., :j], axis=-1)
+        score[..., b + j] = np.add.reduce(sig2[..., : n - j] * lam[..., j:], axis=-1) + presample
     score *= 0.5
     grad = np.empty_like(x)
     grad[..., 0] = omega * score[..., 0]

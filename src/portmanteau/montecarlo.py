@@ -474,8 +474,13 @@ def run_experiment(exp: Experiment, workers: int | None = None, log=None) -> McT
 # ---------------------------------------------------------------------------
 
 def experiment_from_dict(d: dict) -> Experiment:
-    """The validated experiment of a config: ``"schema"`` plus the fields ``_from_dict`` reads."""
-    if not isinstance(d, dict) or d.get("schema") != CONFIG_SCHEMA_VERSION:
+    """The validated experiment of a config: ``"schema"`` plus the fields ``_from_dict`` reads.
+
+    The schema is a number equal to ``CONFIG_SCHEMA_VERSION``; ``true``, which
+    Python counts equal to 1, is no number, as ``_convert`` has it.
+    """
+    schema = d.get("schema") if isinstance(d, dict) else None
+    if isinstance(schema, bool) or schema != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"experiment config must be a JSON object declaring \"schema\": {CONFIG_SCHEMA_VERSION}")
     exp = _from_dict(Experiment, {key: value for key, value in d.items() if key != "schema"}, "experiment config")
     exp.validate()

@@ -22,6 +22,7 @@ CELLS = {
     "logdet": (["family", "n", "m", "block", "us_per_series"], 2 * 2 * 2),
     "garch_qmle": (["order", "n", "ms_per_fit", "iterations", "loglik_mean", "block_ms_per_row"], 1),
     "arma_css": (["order", "n", "ms_per_fit", "iterations", "loglik_mean", "block_ms_per_row"], 1),
+    "ar_ls": (["fit", "n", "block", "us_per_series"], 2 * 2),
     "statistics": (["design", "n", "block", "us_per_series"], 2 * 2),
     "startup": (["command", "workload", "s", "peak_rss_mb"], 3 * 1),
     "mc_call": (["workload", "ms_per_call"], 1),

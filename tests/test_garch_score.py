@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portmanteau import ModelSpec, simulate
+from portmanteau import Garch, ModelSpec, simulate
 from portmanteau.fitting import _garch_nll_score, _garch_variances, _unpack_garch
 from test_golden_garch import FIT_MODELS, FIT_N
 
@@ -61,3 +61,25 @@ def test_score_matches_central_differences(order):
         assert np.abs(grad - fd).max() <= 1e-5 * scale, (grad, fd)
 
     check()
+
+
+def test_score_matches_central_differences_over_two_beta_lags():
+    # GARCH(1, 2), an order FIT_MODELS lacks, so the variance recursion runs over two lags; points stacked as rows.
+    b, a = 1, 2
+    model = Garch(omega=0.1, alpha=(0.1,), beta=(0.5, 0.3))
+    rng = np.random.default_rng(12)
+    for seed in range(5):
+        z = simulate(ModelSpec(model=model, burn_in=200), FIT_N, seed)
+        eps2 = z * z
+        v0 = float(eps2.mean())
+        padded = np.concatenate((np.full(b, v0), eps2))
+        x = np.concatenate(([np.log(v0) + rng.uniform(-4.0, 1.0)], rng.uniform(-6.0, 6.0, b + a)))
+        d = x.size
+        h = 1e-5 * np.maximum(1.0, np.abs(x))
+        points = np.vstack((x, x + np.diag(h), x - np.diag(h)))
+        rows = 2 * d + 1
+        val, grad = _garch_nll_score(points, np.tile(padded, (rows, 1)), np.tile(eps2, (rows, 1)), np.full(rows, v0), b, a)
+        assert val[0] == _nll(x, padded, eps2, v0, b, a)
+        fd = (val[1 : d + 1] - val[d + 1 :]) / (2.0 * h)
+        scale = max(1.0, float(np.abs(fd).max()))
+        assert np.abs(grad[0] - fd).max() <= 1e-5 * scale, (grad[0], fd)

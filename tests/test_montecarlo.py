@@ -448,6 +448,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             experiment_from_dict(d)
 
+    def test_schema_is_a_number_not_a_boolean(self):
+        # true == 1 in Python, but a JSON boolean is no schema number; an integral 1.0 is.
+        d = experiment_to_dict(_small_experiment())
+        d["schema"] = True
+        with pytest.raises(ConfigError):
+            experiment_from_dict(d)
+        d["schema"] = 1.0
+        assert experiment_from_dict(d) == _small_experiment()
+
     def test_missing_required_key(self):
         d = experiment_to_dict(_small_experiment())
         del d["replications"]
